@@ -4,7 +4,9 @@ Four subcommands: ``dims`` tabulates cohomology dimensions against the
 closed form, ``relations`` computes relation vectors by one or all of
 the three oracles, ``graphs`` runs the graph-identity suites, ``export``
 writes machine-readable files.  Exit status is 0 exactly when every
-asserted identity passed.  Output is deterministic for fixed inputs.
+asserted identity passed, 1 when one failed, and 2 for a usage error,
+which includes arguments that leave no work to do.  Output is
+deterministic for fixed inputs.
 
 The environment variable GRT2_THREADS bounds the number of worker
 threads used for per-weight fan-out (default 1).
@@ -30,6 +32,11 @@ from .theta import (
 )
 
 SCHEMA_VERSION = 1
+
+
+class UsageError(Exception):
+    """Arguments that name no valid work; the command exits with status 2."""
+
 
 ORACLES = {
     "psi": relation_space_psi,
@@ -93,7 +100,13 @@ def _emit_dims(rows, fmt, out):
                 "ok" if r["match"] else "MISMATCH"))
 
 
+def _require_max_weight(max_weight):
+    if max_weight < 1:
+        raise UsageError("--max-weight must be >= 1, got %d" % max_weight)
+
+
 def cmd_dims(args):
+    _require_max_weight(args.max_weight)
     rows = dims_rows(args.max_weight, args.degree)
     _emit_dims(rows, args.format, sys.stdout)
     return 0 if all(r["match"] for r in rows) else 1
@@ -125,16 +138,20 @@ def relations_report(weight, oracle):
     return report
 
 
+def _require_relation_weight(k):
+    if k % 2 != 0 or k < 8:
+        raise UsageError("relation weights are even and >= 8, got %d" % k)
+
+
 def cmd_relations(args):
     if args.weight is not None:
+        _require_relation_weight(args.weight)
         weights = [args.weight]
     else:
         weights = list(range(8, args.max_weight + 1, 2))
-    for k in weights:
-        if k % 2 != 0 or k < 8:
-            print("error: relation weights are even and >= 8, got %d" % k,
-                  file=sys.stderr)
-            return 2
+        if not weights:
+            raise UsageError("--max-weight %d leaves no relation weight; "
+                             "the smallest is 8" % args.max_weight)
     reports = _map_ordered(
         lambda k: relations_report(k, args.oracle), weights)
     failed = False
@@ -279,8 +296,7 @@ GRAPH_CHECKS = {
 
 def cmd_graphs(args):
     if args.size_cap > 12:
-        print("error: --size-cap is limited to 12", file=sys.stderr)
-        return 2
+        raise UsageError("--size-cap is limited to 12")
     results = GRAPH_CHECKS[args.check](args.size_cap)
     ok = True
     for name, passed in results:
@@ -328,9 +344,8 @@ def cmd_export(args):
     try:
         if args.what == "relations":
             if args.weight is None:
-                print("error: export relations needs --weight",
-                      file=sys.stderr)
-                return 2
+                raise UsageError("export relations needs --weight")
+            _require_relation_weight(args.weight)
             vectors = relation_space(args.weight)
             payload = {
                 "schema": SCHEMA_VERSION,
@@ -341,9 +356,8 @@ def cmd_export(args):
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         elif args.what == "dims":
             if args.max_weight is None:
-                print("error: export dims needs --max-weight",
-                      file=sys.stderr)
-                return 2
+                raise UsageError("export dims needs --max-weight")
+            _require_max_weight(args.max_weight)
             degrees = [args.degree] if args.degree is not None else [0, 1, 2]
             rows = []
             for deg in degrees:
@@ -361,8 +375,7 @@ def cmd_export(args):
                 text = "\n".join(lines) + "\n"
         else:
             if args.graph is None:
-                print("error: export graph needs --graph", file=sys.stderr)
-                return 2
+                raise UsageError("export graph needs --graph")
             text = graph_to_text(_graph_from_spec(args.graph))
         _write_atomic(args.out, text)
     except (OSError, ValueError) as exc:
@@ -422,7 +435,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

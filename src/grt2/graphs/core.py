@@ -245,30 +245,65 @@ def graph_to_text(g):
     return "\n".join(lines) + "\n"
 
 
+def _text_ints(tokens, line):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError("expected integers in line %r" % line) from None
+
+
 def graph_from_text(text):
+    """Inverse of :func:`graph_to_text`.  Raises ValueError, naming the
+    offending line, on a malformed header, a short or unknown line, an
+    out-of-range vertex index, edge rank or endpoint, a simple loop, or
+    a repeated vertex or edge rank (so there can be no more edge lines
+    than the header declares).
+    """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("V "):
         raise ValueError("graph text must start with a 'V <n> E <m>' header")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "V" or head[2] != "E":
         raise ValueError("malformed header: %r" % lines[0])
-    n, m = int(head[1]), int(head[3])
-    ext = [False] * n
+    n, m = _text_ints((head[1], head[3]), lines[0])
+    if n < 0 or m < 0:
+        raise ValueError("negative count in header: %r" % lines[0])
+    ext = [None] * n
     edges = [None] * m
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "v":
-            idx, flag = int(parts[1]), parts[2]
-            if flag not in ("ext", "int"):
+            if len(parts) != 3:
+                raise ValueError("vertex line must read 'v <index> ext|int': "
+                                 "%r" % ln)
+            (idx,) = _text_ints(parts[1:2], ln)
+            if not 0 <= idx < n:
+                raise ValueError("vertex index %d out of range in %r"
+                                 % (idx, ln))
+            if parts[2] not in ("ext", "int"):
                 raise ValueError("vertex flag must be ext or int: %r" % ln)
-            ext[idx] = flag == "ext"
+            if ext[idx] is not None:
+                raise ValueError("vertex %d given twice, again in %r"
+                                 % (idx, ln))
+            ext[idx] = parts[2] == "ext"
         elif parts[0] == "e":
-            rank, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+            if len(parts) != 4:
+                raise ValueError("edge line must read 'e <rank> <u> <v>': "
+                                 "%r" % ln)
+            rank, u, v = _text_ints(parts[1:], ln)
             if not 0 <= rank < m:
-                raise ValueError("edge rank %d out of range" % rank)
+                raise ValueError("edge rank %d out of range in %r"
+                                 % (rank, ln))
+            if edges[rank] is not None:
+                raise ValueError("edge rank %d given twice, again in %r"
+                                 % (rank, ln))
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("edge endpoint out of range in %r" % ln)
+            if u == v:
+                raise ValueError("edge is a simple loop in %r" % ln)
             edges[rank] = (u, v)
         else:
             raise ValueError("unknown line: %r" % ln)
     if any(e is None for e in edges):
         raise ValueError("missing edge ranks")
-    return Graph(n, tuple(ext), tuple(edges))
+    return Graph(n, tuple(bool(flag) for flag in ext), tuple(edges))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .linalg import nullspace, row_space_basis
+from .linalg import kernel_mod_image
 from .perms import CYCLE_123, CYCLE_132, SWAP_13, plain_action
 from .poly import NCPoly, Poly3, nc_bracket
 from .theta import RelationVector, generator_count, _check_relation_weight
@@ -93,8 +93,9 @@ def bracket_kernel(k):
     m = generator_count(k)
     cols = [encoded_bracket_generator(i, k) for i in range(1, m + 1)]
     monomials = sorted({key for col in cols for key in col.terms})
-    rows = [[col.coeff(mono) for col in cols] for mono in monomials]
-    basis = row_space_basis(nullspace(rows)) if rows else []
+    index = {mono: r for r, mono in enumerate(monomials)}
+    sparse = [{index[key]: c for key, c in col.terms.items()} for col in cols]
+    basis = kernel_mod_image(sparse, [], len(monomials))
     return [RelationVector(k, tuple(v)) for v in basis]
 
 
@@ -115,20 +116,24 @@ def extend_coefficients(k, coeffs):
 
 
 def symmetry_polynomial(k, full_coeffs):
-    """G = sum_i a_i (alpha-beta)^(2i) (beta-gamma)^(k-2-2i)."""
-    alpha_beta = Poly3({(1, 0, 0): 1, (0, 1, 0): -1})
-    beta_gamma = Poly3({(0, 1, 0): 1, (0, 0, 1): -1})
-    total = Poly3.zero()
+    """G = sum_i a_i (alpha-beta)^(2i) (beta-gamma)^(k-2-2i), expanded by
+    the binomial theorem: with n = k-2-2i, the term alpha^p
+    beta^(2i-p+q) gamma^(n-q) carries a_i C(2i,p) C(n,q) (-1)^(2i-p+n-q).
+    """
+    terms = {}
     for i, a in enumerate(full_coeffs, start=1):
         if a == 0:
             continue
-        term = Poly3.monomial((0, 0, 0), a)
-        for _ in range(2 * i):
-            term = term * alpha_beta
-        for _ in range(k - 2 - 2 * i):
-            term = term * beta_gamma
-        total = total + term
-    return total
+        n = k - 2 - 2 * i
+        for p in range(2 * i + 1):
+            ap = a * comb(2 * i, p)
+            for q in range(n + 1):
+                key = (p, 2 * i - p + q, n - q)
+                c = ap * comb(n, q)
+                if (2 * i - p + n - q) % 2:
+                    c = -c
+                terms[key] = terms.get(key, 0) + c
+    return Poly3(terms)
 
 
 def schneps_check(rv):

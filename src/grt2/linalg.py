@@ -1,9 +1,21 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse elimination engine.
 
-Dense routines take matrices as lists of rows of Fractions (or ints) and
-are used for the small kernel computations.  The sparse column
-elimination is used for the weight-slice rank sweeps, whose matrices are
-large but have only a couple of entries per column.
+:class:`Echelon` holds a row echelon form built one vector at a time.  A
+vector is a sparse mapping from index to value or a dense sequence of
+values.  Pivot rows are sparse dicts of
+Fractions, keyed by their leading (smallest) index and scaled to 1
+there.  An incoming vector is reduced forward only: the pivot row at its
+current leading index is subtracted until that index carries no pivot,
+and the remainder, if any, becomes a new pivot.  Stored pivots are never
+touched again, so one vector costs work proportional to the pivots it
+meets, not to the number stored.  A tag vector may ride along and
+undergoes the same row operations; a vector that reduces to zero hands
+back its tag, which is then a linear dependency among the tagged inputs.
+One back-substitution at the end gives the reduced row echelon form,
+which is unique, so every basis returned here is canonical.
+
+Rank, kernels, row spaces, span tests and the kernel modulo an image are
+thin wrappers over that one engine.
 """
 
 from __future__ import annotations
@@ -12,92 +24,173 @@ from fractions import Fraction
 from math import gcd
 
 
+def _axpy(dst, f, src):
+    """dst += f * src for sparse dicts, dropping entries that cancel."""
+    for i, v in src.items():
+        nv = dst.get(i, 0) + f * v
+        if nv:
+            dst[i] = nv
+        else:
+            dst.pop(i, None)
+
+
+def _entries(vec):
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
+
+
+class Echelon:
+    """Row echelon form over Q, grown by :meth:`add`; its length is the
+    rank of the vectors added so far.
+    """
+
+    def __init__(self, vectors=()):
+        self._pivots = {}  # leading index -> (row, tag)
+        for vec in vectors:
+            self.add(vec)
+
+    def __len__(self):
+        return len(self._pivots)
+
+    def add(self, vec, tag=None):
+        """Reduce a vector against the stored pivots.
+
+        If a nonzero remainder is left it is stored as a new pivot and
+        None is returned.  Otherwise the vector lay in the span of the
+        vectors added before, and the reduced tag is returned: a sparse
+        vector d with sum_j d_j * (vector tagged e_j) = 0 when every
+        vector was added with a unit tag ({} when no tag was given).
+        """
+        vec = {i: Fraction(v) for i, v in _entries(vec) if v}
+        tag = {i: Fraction(v) for i, v in tag.items() if v} if tag else {}
+        pivots = self._pivots
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / vec[lead]
+                pivots[lead] = ({i: v * inv for i, v in vec.items()},
+                                {i: v * inv for i, v in tag.items()})
+                return None
+            row, row_tag = pivot
+            f = -vec[lead]
+            _axpy(vec, f, row)
+            if row_tag:
+                _axpy(tag, f, row_tag)
+        return tag
+
+    def reduced_rows(self):
+        """The reduced row echelon form, by one back-substitution: the
+        (leading index, row) pairs in increasing order of leading index,
+        each row zero at every other leading index.
+        """
+        done = {}
+        for lead in sorted(self._pivots, reverse=True):
+            row = dict(self._pivots[lead][0])
+            # rows already done carry zeros at every other leading index,
+            # so each subtraction clears one entry and disturbs no other
+            for i in [i for i in row if i != lead and i in done]:
+                _axpy(row, -row[i], done[i])
+            done[lead] = row
+        return [(lead, done[lead]) for lead in sorted(done)]
+
+
+def _dense(vec, n):
+    zero = Fraction(0)
+    return [vec.get(i, zero) for i in range(n)]
+
+
+def _reduced_basis(vectors, n):
+    """Rows of the reduced row echelon form of the vectors, each as a
+    dense list of length n.
+    """
+    ech = Echelon(vectors)
+    return [_dense(row, n) for _, row in ech.reduced_rows()]
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
+    """Reduced row echelon form of a dense matrix, zero rows last.
+    Returns (rows, pivot_columns).
+    """
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    ncols = len(rows[0])
+    reduced = Echelon(rows).reduced_rows()
+    mat = [_dense(row, ncols) for _, row in reduced]
+    mat += [[Fraction(0)] * ncols for _ in range(len(rows) - len(mat))]
+    return mat, [lead for lead, _ in reduced]
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(Echelon(rows))
+
+
+def rank_of_columns(columns):
+    """Rank of a sparse matrix given as an iterable of columns, each a
+    mapping from row index to coefficient.
+    """
+    return len(Echelon(columns))
 
 
 def nullspace(rows):
-    """Basis of the right kernel of the matrix, one vector per free column."""
+    """Basis of the right kernel of the matrix, one vector per free column:
+    1 at that column, 0 at the other free columns.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    ech = Echelon()
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
+    for j in range(ncols):
+        dep = ech.add({i: row[j] for i, row in enumerate(rows)}, {j: 1})
+        if dep is not None:
+            basis.append(_dense(dep, ncols))
     return basis
 
 
 def row_space_basis(rows):
     """Nonzero rows of the reduced row echelon form."""
-    mat, pivots = rref(rows)
-    return [mat[i] for i in range(len(pivots))]
+    if not rows:
+        return []
+    return _reduced_basis(rows, len(rows[0]))
 
 
 def in_span(vectors, target):
     """Whether target lies in the linear span of the given vectors."""
-    if all(x == 0 for x in target):
-        return True
-    if not vectors:
-        return False
-    return rank(vectors) == rank(list(vectors) + [list(target)])
+    return Echelon(vectors).add(target) is not None
 
 
 def span_equal(vecs_a, vecs_b):
     """Whether two families of vectors span the same subspace."""
-    ra = rank(vecs_a) if vecs_a else 0
-    rb = rank(vecs_b) if vecs_b else 0
-    if ra != rb:
-        return False
-    return rank(list(vecs_a) + list(vecs_b)) == ra if ra else True
+    ech = Echelon(vecs_a)
+    rank_a = len(ech)
+    return (all(ech.add(v) is not None for v in vecs_b)
+            and rank(vecs_b) == rank_a)
 
 
 def kernel_mod_image(gen_cols, image_cols, dim):
     """Kernel of the map a |-> sum_i a_i * gen_cols[i] into the quotient
     of Q^dim by the span of image_cols.
 
-    Columns are given as vectors of length ``dim``.  Returns a basis of
-    coefficient vectors of length len(gen_cols), in reduced row echelon
-    form.
+    Columns are vectors of length ``dim``, as sequences or as mappings
+    from index to value.  The image is loaded first, then each generator
+    with the unit tag e_i; a generator that reduces to zero hands back a
+    kernel vector.  Returns a basis of coefficient vectors of length
+    len(gen_cols), in reduced row echelon form.
     """
-    ngen = len(gen_cols)
-    if ngen == 0:
-        return []
-    cols = list(gen_cols) + list(image_cols)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
-    projected = [vec[:ngen] for vec in nullspace(rows)]
-    return row_space_basis(projected)
+    gens = [dict(_entries(v)) for v in gen_cols]
+    image = [dict(_entries(v)) for v in image_cols]
+    for vec in gens + image:
+        for i in vec:
+            if not 0 <= i < dim:
+                raise ValueError("index %r outside a space of dimension %d"
+                                 % (i, dim))
+    ech = Echelon(image)
+    kernel = []
+    for j, vec in enumerate(gens):
+        dep = ech.add(vec, {j: 1})
+        if dep is not None:
+            kernel.append(dep)
+    return _reduced_basis(kernel, len(gens))
 
 
 def normalize_integer_vector(vec):
@@ -120,43 +213,3 @@ def normalize_integer_vector(vec):
     if lead < 0:
         ints = [-v for v in ints]
     return tuple(ints)
-
-
-def rank_of_columns(columns):
-    """Rank of a sparse matrix given as an iterable of columns, each a
-    mapping from row index to coefficient.  Pivot columns are kept fully
-    reduced against each other, so each incoming column needs one pass.
-    """
-    pivots = {}
-    count = 0
-    for col in columns:
-        col = {r: Fraction(v) for r, v in col.items() if v != 0}
-        for r in sorted(set(col) & set(pivots)):
-            f = col.pop(r)
-            for rr, vv in pivots[r].items():
-                if rr == r:
-                    continue
-                nv = col.get(rr, Fraction(0)) - f * vv
-                if nv:
-                    col[rr] = nv
-                else:
-                    col.pop(rr, None)
-        if not col:
-            continue
-        pr = min(col)
-        inv = 1 / col[pr]
-        newcol = {r: v * inv for r, v in col.items()}
-        for other in pivots.values():
-            if pr in other:
-                f = other.pop(pr)
-                for rr, vv in newcol.items():
-                    if rr == pr:
-                        continue
-                    nv = other.get(rr, Fraction(0)) - f * vv
-                    if nv:
-                        other[rr] = nv
-                    else:
-                        other.pop(rr, None)
-        pivots[pr] = newcol
-        count += 1
-    return count

@@ -110,13 +110,28 @@ def weight_slice_basis(grade, weight):
 
 
 def _d0_columns(grade, weight):
-    """Sparse columns of d0 from one weight slice to the next grade."""
+    """Sparse columns of d0 from one weight slice to the next grade, built
+    directly: (x+y+z) x^a y^b z^c with a > b > c has the terms
+    x^(a+1) y^b z^c, x^a y^(b+1) z^c (kept iff b+1 < a) and
+    x^a y^b z^(c+1) (kept iff c+1 < b), all already strictly decreasing
+    with sign +1; a repeated exponent is zero in the coinvariants.  Out
+    of grade 0 each entry is 2; out of grade 1 it is 1 when the image
+    has even degree, and every column is empty at odd weight.  This
+    agrees with :func:`d0_theta` on each basis monomial.
+    """
     source = weight_slice_basis(grade, weight)
+    if grade == 1 and weight % 2 == 1:
+        return [{} for _ in source]
     target = {m: i for i, m in enumerate(weight_slice_basis(grade + 1, weight))}
+    coeff = 2 if grade == 0 else 1
     cols = []
-    for mono in source:
-        elem = d0_theta(ThetaElement(grade, Poly3.monomial(mono)))
-        cols.append({target[k]: c for k, c in elem.value.terms.items()})
+    for a, b, c in source:
+        col = {target[(a + 1, b, c)]: coeff}
+        if b + 1 < a:
+            col[target[(a, b + 1, c)]] = coeff
+        if c + 1 < b:
+            col[target[(a, b, c + 1)]] = coeff
+        cols.append(col)
     return cols
 
 
@@ -261,21 +276,11 @@ def relation_space(k):
     _check_relation_weight(k)
     slice1 = weight_slice_basis(1, k - 1)
     index = {m: i for i, m in enumerate(slice1)}
-    dim = len(slice1)
-
-    def as_vector(value):
-        vec = [Fraction(0)] * dim
-        for key, c in value.terms.items():
-            vec[index[key]] = c
-        return vec
-
-    gens = [as_vector(theta_generator(a // 2, b // 2).value)
+    gens = [{index[key]: c for key, c in
+             theta_generator(a // 2, b // 2).value.terms.items()}
             for a, b in theta_monomials(k)]
-    image = []
-    for mono in weight_slice_basis(0, k - 1):
-        elem = d0_theta(ThetaElement(0, Poly3.monomial(mono)))
-        image.append(as_vector(elem.value))
-    kernel = kernel_mod_image(gens, image, dim)
+    image = _d0_columns(0, k - 1)
+    kernel = kernel_mod_image(gens, image, len(slice1))
     return [RelationVector(k, tuple(v)) for v in kernel]
 
 

@@ -71,6 +71,34 @@ def test_relations_rejects_odd_weight(capsys):
     assert code == 2
 
 
+def test_relations_empty_range_is_usage_error(capsys):
+    code = main(["relations", "--max-weight", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--max-weight 6" in captured.err
+
+
+def test_dims_empty_range_is_usage_error(capsys):
+    code = main(["dims", "--degree", "1", "--max-weight", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--max-weight" in captured.err
+
+
+def test_export_relations_odd_weight_is_usage_error(tmp_path, capsys):
+    assert main(["relations", "--weight", "7"]) == 2
+    relations_err = capsys.readouterr().err
+    out_path = tmp_path / "k7.json"
+    code = main(["export", "--what", "relations", "--weight", "7",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == relations_err != ""
+    assert not out_path.exists()
+
+
 def test_graphs_checks(capsys):
     code, out = run_cli(capsys, "graphs", "--check", "theta-identity")
     assert code == 0

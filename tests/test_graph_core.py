@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -147,3 +148,55 @@ def test_graphtext_errors():
         graph_from_text("not a graph")
     with pytest.raises(ValueError):
         graph_from_text("V 2 E 1\nv 0 ext\nv 1 int\ne 5 0 1")
+
+
+GOOD_BODY = "V 3 E 2\nv 0 ext\nv 1 int\nv 2 int\ne 0 0 1\ne 1 1 2\n"
+
+
+def assert_rejects_line(text, line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        graph_from_text(text)
+
+
+def test_graphtext_good_body_loads():
+    g = graph_from_text(GOOD_BODY)
+    assert g == Graph(3, (True, False, False), ((0, 1), (1, 2)))
+
+
+def test_graphtext_rejects_negative_vertex_index():
+    assert_rejects_line(GOOD_BODY + "v -1 ext\n", "v -1 ext")
+
+
+def test_graphtext_rejects_out_of_range_vertex_index():
+    assert_rejects_line(GOOD_BODY.replace("v 2 int", "v 3 int"), "v 3 int")
+
+
+def test_graphtext_rejects_repeated_vertex():
+    assert_rejects_line(GOOD_BODY.replace("v 2 int", "v 1 ext"), "v 1 ext")
+
+
+def test_graphtext_rejects_duplicate_edge_rank():
+    assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 0 1 2"), "e 0 1 2")
+
+
+def test_graphtext_rejects_extra_edge_lines():
+    assert_rejects_line(GOOD_BODY + "e 1 0 2\n", "e 1 0 2")
+
+
+def test_graphtext_rejects_out_of_range_endpoint():
+    assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 1 1 7"), "e 1 1 7")
+
+
+def test_graphtext_rejects_loop_edge():
+    assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 1 2 2"), "e 1 2 2")
+
+
+def test_graphtext_rejects_short_lines():
+    assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 1 1"), "e 1 1")
+    assert_rejects_line(GOOD_BODY.replace("v 2 int", "v 2"), "v 2")
+
+
+def test_graphtext_rejects_non_integer_fields():
+    assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 1 x 2"), "e 1 x 2")
+    assert_rejects_line(GOOD_BODY.replace("V 3 E 2", "V 3 E two"),
+                        "V 3 E two")

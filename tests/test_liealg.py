@@ -16,7 +16,12 @@ from grt2.liealg import (
 )
 from grt2.linalg import span_equal
 from grt2.poly import NCPoly, Poly3
-from grt2.theta import RelationVector, relation_count, relation_space
+from grt2.theta import (
+    RelationVector,
+    relation_count,
+    relation_space,
+    relation_space_psi,
+)
 from helpers import (
     check_ihara_antisymmetry,
     check_ihara_depth_additivity,
@@ -99,6 +104,25 @@ def test_symmetry_polynomial_matches_encoding():
         assert g == depth2_encode(ad_power(2 * i) * ad_power(k - 2 - 2 * i))
 
 
+def test_symmetry_polynomial_matches_product_definition():
+    alpha_beta = Poly3({(1, 0, 0): 1, (0, 1, 0): -1})
+    beta_gamma = Poly3({(0, 1, 0): 1, (0, 0, 1): -1})
+    rng = random.Random(4711)
+    for k in range(8, 39, 2):
+        full = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range((k - 4) // 2)]
+        full[rng.randrange(len(full))] = Fraction(0)
+        expect = Poly3.zero()
+        for i, a in enumerate(full, start=1):
+            term = Poly3.monomial((0, 0, 0), a)
+            for _ in range(2 * i):
+                term = term * alpha_beta
+            for _ in range(k - 2 - 2 * i):
+                term = term * beta_gamma
+            expect = expect + term
+        assert symmetry_polynomial(k, full) == expect, k
+
+
 def test_schneps_examples():
     assert schneps_check(RelationVector(12, (1, -3)))
     assert not schneps_check(RelationVector(12, (1, 0)))
@@ -137,3 +161,17 @@ def test_kernel_agreement_with_rank_oracle():
 def test_encoded_generator_degree():
     enc = encoded_bracket_generator(1, 12)
     assert enc.degrees() == [10]
+
+
+def test_oracles_agree_weights_30_to_60():
+    # a wider range than the published one; the symmetry criterion is
+    # linear, so checking one basis of the common span covers all three
+    for k in range(30, 61, 2):
+        vecs = relation_space(k)
+        base = [[Fraction(c) for c in v.coeffs] for v in vecs]
+        assert len(base) == relation_count(k), k
+        for oracle in (relation_space_psi, bracket_kernel):
+            other = [[Fraction(c) for c in v.coeffs] for v in oracle(k)]
+            assert span_equal(base, other), (k, oracle.__name__)
+        for v in vecs:
+            assert schneps_check(v), (k, v)

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from grt2.linalg import (
+    Echelon,
     in_span,
     kernel_mod_image,
     normalize_integer_vector,
@@ -77,5 +81,145 @@ def test_sparse_rank_matches_dense():
     ]
     dense = [[col.get(r, 0) for col in cols] for r in range(3)]
     assert rank_of_columns(cols) == rank(dense) == 2
+    assert reference_rank(dense) == 2
     assert rank_of_columns([]) == 0
     assert rank_of_columns([{}]) == 0
+
+
+# -- properties checked against definitions written here ---------------------
+
+
+def reference_rank(rows):
+    """Textbook dense Gaussian elimination, independent of grt2.linalg."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c] / mat[r][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+def transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def combination(coeffs, vectors, n):
+    return [sum((c * Fraction(v[i]) for c, v in zip(coeffs, vectors)),
+                Fraction(0)) for i in range(n)]
+
+
+ENTRY = st.one_of(
+    st.just(0), st.just(0),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_matches_reference_and_transpose(mat):
+    rows, ncols = mat
+    assert rank(rows) == reference_rank(rows)
+    assert rank(rows) == rank(transpose(rows, ncols))
+    columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
+    assert rank_of_columns(columns) == rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_nullspace_annihilates_rows(mat):
+    rows, ncols = mat
+    if not rows:
+        return
+    basis = nullspace(rows)
+    assert len(basis) == ncols - reference_rank(rows)
+    assert reference_rank(basis) == len(basis)
+    for vec in basis:
+        for row in rows:
+            assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+
+
+def assert_reduced_echelon(basis, ncols):
+    leads = []
+    for row in basis:
+        assert len(row) == ncols
+        lead = next(j for j, x in enumerate(row) if x != 0)
+        assert row[lead] == 1
+        leads.append(lead)
+    assert leads == sorted(set(leads))
+    for i, lead in enumerate(leads):
+        assert all(basis[r][lead] == 0 for r in range(len(basis)) if r != i)
+    return leads
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_row_space_basis_is_reduced_and_spans_rows(mat):
+    rows, ncols = mat
+    basis = row_space_basis(rows)
+    leads = assert_reduced_echelon(basis, ncols)
+    assert len(basis) == reference_rank(rows)
+    # in reduced echelon form a vector of the row space is the combination
+    # of the basis rows weighted by its entries at the leading columns
+    for row in rows:
+        coeffs = [Fraction(row[lead]) for lead in leads]
+        assert combination(coeffs, basis, ncols) == [Fraction(x) for x in row]
+    if rows:
+        reduced, pivots = rref(rows)
+        assert reduced[:len(basis)] == basis and pivots == leads
+        assert len(reduced) == len(rows)
+        assert all(x == 0 for row in reduced[len(basis):] for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=5), matrices(max_rows=3))
+def test_kernel_mod_image_matches_definition(gens, image):
+    # vectors of the same length: a kernel vector a is one whose
+    # combination sum_i a_i g_i lies in the span of the image
+    gen_rows, dim = gens
+    image_rows = [(row + [0] * dim)[:dim] for row in image[0]]
+    kernel = kernel_mod_image(gen_rows, image_rows, dim)
+    assert_reduced_echelon(kernel, len(gen_rows))
+    assert reference_rank(kernel) == len(kernel)
+    image_rank = reference_rank(image_rows)
+    for vec in kernel:
+        target = combination(vec, gen_rows, dim)
+        assert reference_rank(image_rows + [target]) == image_rank
+    both = reference_rank(image_rows + gen_rows)
+    assert len(kernel) == len(gen_rows) - (both - image_rank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.lists(ENTRY, min_size=6, max_size=6))
+def test_in_span_and_span_equal_match_reference(mat, target):
+    rows, ncols = mat
+    target = target[:ncols]
+    base = reference_rank(rows)
+    assert in_span(rows, target) == (reference_rank(rows + [target]) == base)
+    basis = row_space_basis(rows)
+    assert span_equal(rows, basis) and span_equal(basis, rows)
+    assert span_equal(rows, rows + [target]) == in_span(rows, target)
+
+
+def test_echelon_tags_give_dependencies():
+    vectors = [{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 6, 2: 4}, {5: 1}]
+    ech = Echelon()
+    deps = [ech.add(v, {j: 1}) for j, v in enumerate(vectors)]
+    assert deps[0] is None and deps[1] is None and deps[3] is None
+    assert deps[2] == {0: -2, 1: -2, 2: 1}
+    assert len(ech) == 3
+    assert ech.add({}) == {}
+    assert [lead for lead, _ in ech.reduced_rows()] == [0, 1, 5]

@@ -6,6 +6,7 @@ import pytest
 from grt2.linalg import in_span, span_equal
 from grt2.poly import Poly2, Poly3
 from grt2.theta import (
+    _d0_columns,
     RelationVector,
     ThetaElement,
     closed_form_dim,
@@ -99,6 +100,26 @@ def test_cohomology_dims_small():
     for k in range(1, 26):
         for i in (0, 1, 2):
             assert cohomology_dim(i, k) == closed_form_dim(i, k), (i, k)
+
+
+def test_cohomology_dims_match_closed_form_through_101():
+    for k in range(1, 102):
+        for i in (0, 1, 2):
+            assert cohomology_dim(i, k) == closed_form_dim(i, k), (i, k)
+
+
+def test_d0_columns_match_d0_theta():
+    # the direct construction against the polynomial definition
+    for grade in (0, 1):
+        for k in range(1, 61):
+            target = {m: i for i, m in
+                      enumerate(weight_slice_basis(grade + 1, k))}
+            expect = []
+            for mono in weight_slice_basis(grade, k):
+                image = d0_theta(ThetaElement(grade, Poly3.monomial(mono)))
+                expect.append({target[key]: c
+                               for key, c in image.value.terms.items()})
+            assert _d0_columns(grade, k) == expect, (grade, k)
 
 
 def test_psi_boundary_branches():
