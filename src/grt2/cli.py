@@ -7,9 +7,6 @@ writes machine-readable files.  Exit status is 0 exactly when every
 asserted identity passed, 1 when one failed, and 2 for a usage error,
 which includes arguments that leave no work to do.  Output is
 deterministic for fixed inputs.
-
-The environment variable GRT2_THREADS bounds the number of worker
-threads used for per-weight fan-out (default 1).
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -45,59 +41,40 @@ ORACLES = {
 }
 
 
-def _thread_count():
-    raw = os.environ.get("GRT2_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, fanning out across threads but returning
-    results in input order.
-    """
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- dims --------------------------------------------------------------------
 
 
 def dims_rows(max_weight, degree):
-    def one(k):
+    rows = []
+    for k in range(1, max_weight + 1):
         dim = cohomology_dim(degree, k)
         closed = closed_form_dim(degree, k)
-        return {
+        rows.append({
             "weight": k,
             "degree": degree,
             "dim": dim,
             "closed_form": closed,
             "match": dim == closed,
-        }
+        })
+    return rows
 
-    return _map_ordered(one, list(range(1, max_weight + 1)))
 
-
-def _emit_dims(rows, fmt, out):
+def format_dims(rows, fmt):
+    """The dimension table as text, csv or json."""
     if fmt == "json":
-        out.write(json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
-                             indent=2, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        out.write("weight,degree,dim,closed_form,match\n")
-        for r in rows:
-            out.write("%d,%d,%d,%d,%s\n" % (
-                r["weight"], r["degree"], r["dim"], r["closed_form"],
-                str(r["match"]).lower()))
+        return json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
+                          indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        lines = ["weight,degree,dim,closed_form,match"]
+        lines.extend("%d,%d,%d,%d,%s" % (
+            r["weight"], r["degree"], r["dim"], r["closed_form"],
+            str(r["match"]).lower()) for r in rows)
     else:
-        out.write("weight  degree  dim  closed_form  match\n")
-        for r in rows:
-            out.write("%6d  %6d  %3d  %11d  %s\n" % (
-                r["weight"], r["degree"], r["dim"], r["closed_form"],
-                "ok" if r["match"] else "MISMATCH"))
+        lines = ["weight  degree  dim  closed_form  match"]
+        lines.extend("%6d  %6d  %3d  %11d  %s" % (
+            r["weight"], r["degree"], r["dim"], r["closed_form"],
+            "ok" if r["match"] else "MISMATCH") for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _require_max_weight(max_weight):
@@ -108,7 +85,7 @@ def _require_max_weight(max_weight):
 def cmd_dims(args):
     _require_max_weight(args.max_weight)
     rows = dims_rows(args.max_weight, args.degree)
-    _emit_dims(rows, args.format, sys.stdout)
+    sys.stdout.write(format_dims(rows, args.format))
     return 0 if all(r["match"] for r in rows) else 1
 
 
@@ -152,10 +129,9 @@ def cmd_relations(args):
         if not weights:
             raise UsageError("--max-weight %d leaves no relation weight; "
                              "the smallest is 8" % args.max_weight)
-    reports = _map_ordered(
-        lambda k: relations_report(k, args.oracle), weights)
     failed = False
-    for rep in reports:
+    for k in weights:
+        rep = relations_report(k, args.oracle)
         shown = sorted(rep["vectors"])
         for name in shown:
             vecs = rep["vectors"][name]
@@ -176,29 +152,13 @@ def cmd_relations(args):
 # -- graphs ------------------------------------------------------------------
 
 
-def _theta_shapes(grade, max_weight):
-    maxdeg = max_weight - (2 - grade)
-    shapes = set()
-    for c1 in range(maxdeg + 1):
-        for c2 in range(maxdeg + 1 - c1):
-            for c3 in range(maxdeg + 1 - c1 - c2):
-                total = c1 + c2 + c3
-                if total < 1 or total > maxdeg:
-                    continue
-                key = tuple(sorted((c1, c2, c3), reverse=True))
-                if sum(1 for c in key if c == 0) > 1:
-                    continue
-                shapes.add(key)
-    return sorted(shapes)
-
-
 def check_d_squared(weight_cap):
-    from .graphs.build import theta_graph
+    from .graphs.build import theta_graph, theta_shapes
     from .graphs.ops import icg_differential, icg_differential_raw
 
     results = []
     for grade in (0, 1):
-        for counts in _theta_shapes(grade, weight_cap):
+        for counts in theta_shapes(grade, weight_cap):
             d1 = icg_differential_raw(theta_graph(grade, counts))
             ok = icg_differential(d1).is_zero()
             results.append(("d0^2 theta grade %d %s" % (grade, counts), ok))
@@ -206,7 +166,7 @@ def check_d_squared(weight_cap):
 
 
 def check_encoding(weight_cap):
-    from .graphs.build import theta_graph
+    from .graphs.build import theta_graph, theta_shapes
     from .graphs.ops import (icg_differential_raw, theta_graph_encode,
                              theta_sum_encode)
     from .poly import Poly3
@@ -214,7 +174,7 @@ def check_encoding(weight_cap):
 
     results = []
     for grade in (0, 1):
-        for counts in _theta_shapes(grade, weight_cap):
+        for counts in theta_shapes(grade, weight_cap):
             g = theta_graph(grade, counts)
             image = theta_sum_encode(icg_differential_raw(g))
             lhs = image.get(grade + 1, ThetaElement(grade + 1, Poly3.zero()))
@@ -338,9 +298,22 @@ def _graph_from_spec(spec):
         "or figure-eight:<c1>,<c2>; got %r" % spec)
 
 
+# The formats each export writes; the first is the default.
+EXPORT_FORMATS = {
+    "relations": ("json",),
+    "dims": ("json", "csv"),
+    "graph": ("graphtext",),
+}
+
+
 def cmd_export(args):
     from .graphs.core import graph_to_text
 
+    formats = EXPORT_FORMATS[args.what]
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise UsageError("export --what %s writes %s, not %s"
+                         % (args.what, " or ".join(formats), fmt))
     try:
         if args.what == "relations":
             if args.weight is None:
@@ -363,16 +336,7 @@ def cmd_export(args):
             for deg in degrees:
                 rows.extend(dims_rows(args.max_weight, deg))
             rows.sort(key=lambda r: (r["weight"], r["degree"]))
-            if args.format == "json":
-                text = json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
-                                  indent=2, sort_keys=True) + "\n"
-            else:
-                lines = ["weight,degree,dim,closed_form,match"]
-                for r in rows:
-                    lines.append("%d,%d,%d,%d,%s" % (
-                        r["weight"], r["degree"], r["dim"],
-                        r["closed_form"], str(r["match"]).lower()))
-                text = "\n".join(lines) + "\n"
+            text = format_dims(rows, fmt)
         else:
             if args.graph is None:
                 raise UsageError("export graph needs --graph")
@@ -422,7 +386,8 @@ def build_parser():
                    required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv", "graphtext"),
-                   default="json")
+                   help="default: json for relations and dims, graphtext "
+                        "for graph")
     p.add_argument("--weight", type=int)
     p.add_argument("--max-weight", type=int)
     p.add_argument("--degree", type=int, choices=(0, 1, 2))

@@ -61,6 +61,20 @@ def theta_graph(grade, counts):
     return Graph(n, flags, tuple(edges))
 
 
+def theta_shapes(grade, max_weight):
+    """Hair counts k1 >= k2 >= k3 of every theta graph of the grade
+    with weight at most ``max_weight``, in sorted order.
+
+    The weight counts the strand hairs and the 2 - grade junction
+    hairs.  Only k3 may be 0: two bare strands form a double edge.
+    """
+    maxdeg = max_weight - (2 - grade)
+    return [(k1, k2, k3)
+            for k1 in range(1, maxdeg + 1)
+            for k2 in range(1, k1 + 1)
+            for k3 in range(min(k2, maxdeg - k1 - k2) + 1)]
+
+
 def figure_eight(c1, c2):
     """Two loops sharing a single five-valent center vertex, every
     vertex haired; the loops carry c1 and c2 interior vertices.

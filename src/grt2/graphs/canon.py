@@ -32,9 +32,16 @@ def canonicalize(g, check=True):
     return GraphClass(g.n, g.ext, edges), sign
 
 
-def class_of(g, check=True):
-    """The GraphSum-ready (class, sign) of a raw graph, as a dict entry."""
-    cls, sign = canonicalize(g, check=check)
-    if cls is None:
-        return {}
-    return {cls: sign}
+def canonical_sum(pairs, terms):
+    """Add each (graph, coeff) pair into the dict ``terms`` as coeff
+    times the relabeling sign, keyed by the graph's canonical class.
+    Graphs whose class is zero are dropped; returns how many were.
+    """
+    zeros = 0
+    for g, coeff in pairs:
+        cls, sign = canonicalize(g, check=False)
+        if cls is None:
+            zeros += 1
+        else:
+            terms[cls] = terms.get(cls, 0) + coeff * sign
+    return zeros

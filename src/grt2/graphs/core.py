@@ -46,15 +46,6 @@ class Graph:
             out[v] += 1
         return out
 
-    def neighbors(self, v):
-        out = []
-        for u, w in self.edges:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return out
-
     def incident_edges(self, v):
         return [i for i, (u, w) in enumerate(self.edges) if v in (u, w)]
 
@@ -257,7 +248,8 @@ def graph_from_text(text):
     offending line, on a malformed header, a short or unknown line, an
     out-of-range vertex index, edge rank or endpoint, a simple loop, or
     a repeated vertex or edge rank (so there can be no more edge lines
-    than the header declares).
+    than the header declares); and, naming the vertex or rank, when a
+    vertex or edge line is missing.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("V "):
@@ -304,6 +296,12 @@ def graph_from_text(text):
             edges[rank] = (u, v)
         else:
             raise ValueError("unknown line: %r" % ln)
-    if any(e is None for e in edges):
-        raise ValueError("missing edge ranks")
-    return Graph(n, tuple(bool(flag) for flag in ext), tuple(edges))
+    for idx, flag in enumerate(ext):
+        if flag is None:
+            raise ValueError("vertex %d has no 'v <index> ext|int' line"
+                             % idx)
+    for rank, edge in enumerate(edges):
+        if edge is None:
+            raise ValueError("edge rank %d has no 'e <rank> <u> <v>' line"
+                             % rank)
+    return Graph(n, tuple(ext), tuple(edges))

@@ -9,7 +9,7 @@ from itertools import combinations, product
 from ..poly import Poly3
 from ..theta import ThetaElement
 from .build import theta_graph, wheel
-from .canon import canonicalize
+from .canon import canonical_sum, canonicalize
 from .core import Graph, GraphSum, gc2_degree, icg_check
 
 
@@ -116,27 +116,27 @@ def icg_differential_raw(g, loop_preserving=True):
     loop count exceeds the input's are discarded.
     """
     base = internal_loop_count(g)
-    out = {}
-    for v in range(g.n):
-        for term in split_terms(g, v):
-            if not term.is_internally_connected():
-                continue
-            if loop_preserving and internal_loop_count(term) > base:
-                continue
-            cls, sign = canonicalize(term, check=False)
-            if cls is None:
-                continue
-            out[cls] = out.get(cls, 0) + sign
-    return GraphSum(out)
+    kept = (term for v in range(g.n) for term in split_terms(g, v)
+            if term.is_internally_connected()
+            and not (loop_preserving and internal_loop_count(term) > base))
+    terms = {}
+    canonical_sum(((term, 1) for term in kept), terms)
+    return GraphSum(terms)
+
+
+def _add_scaled(terms, gs, scale):
+    """Add scale times the graph sum gs into the dict ``terms``."""
+    for cls, coeff in gs.terms.items():
+        terms[cls] = terms.get(cls, 0) + scale * coeff
 
 
 def icg_differential(gs, loop_preserving=True):
     """Linear extension of the splitting differential to graph sums."""
-    total = GraphSum.zero()
+    terms = {}
     for cls, coeff in gs.terms.items():
-        total = total + icg_differential_raw(
-            cls.graph, loop_preserving).scale(coeff)
-    return total
+        _add_scaled(terms, icg_differential_raw(cls.graph, loop_preserving),
+                    coeff)
+    return GraphSum(terms)
 
 
 # -- operadic insertion ------------------------------------------------------
@@ -176,31 +176,28 @@ def pre_lie_raw(g1, g2):
     """Sum over all vertices of g1 and all reattachments of the loose
     edges to vertices of g2, canonicalized.
     """
-    out = {}
-    targets = range(g2.n)
-    for j in range(g1.n):
-        loose = g1.incident_edges(j)
-        for assignment in product(targets, repeat=len(loose)):
-            term = insert_at(g1, j, g2, assignment)
-            cls, sign = canonicalize(term, check=False)
-            if cls is None:
-                continue
-            out[cls] = out.get(cls, 0) + sign
-    return GraphSum(out)
+    terms = {}
+    canonical_sum(
+        ((insert_at(g1, j, g2, assignment), 1)
+         for j in range(g1.n)
+         for assignment in product(range(g2.n),
+                                   repeat=len(g1.incident_edges(j)))),
+        terms)
+    return GraphSum(terms)
 
 
 def gc2_bracket(s1, s2):
     """Graded commutator of the insertion product on graph sums."""
-    total = GraphSum.zero()
+    terms = {}
     for c1, a1 in s1.terms.items():
         for c2, a2 in s2.terms.items():
             d1 = gc2_degree(c1.graph)
             d2 = gc2_degree(c2.graph)
             koszul = -1 if (d1 * d2) % 2 else 1
-            part = pre_lie_raw(c1.graph, c2.graph) \
-                - koszul * pre_lie_raw(c2.graph, c1.graph)
-            total = total + part.scale(a1 * a2)
-    return total
+            _add_scaled(terms, pre_lie_raw(c1.graph, c2.graph), a1 * a2)
+            _add_scaled(terms, pre_lie_raw(c2.graph, c1.graph),
+                        -koszul * a1 * a2)
+    return GraphSum(terms)
 
 
 def wheel_class(spokes):
@@ -230,13 +227,10 @@ def bowtie_difference(a, b):
     of this difference is exactly what the splitting differential of the
     haired figure-eight produces next to four times the theta class.
     """
-    out = {}
-    for g, coeff in ((bowtie(b, a), 1), (bowtie(a, b), -1)):
-        cls, sign = canonicalize(g, check=False)
-        if cls is None:
-            raise AssertionError("bowtie classes are nonzero")
-        out[cls] = out.get(cls, 0) + coeff * sign
-    return GraphSum(out)
+    terms = {}
+    if canonical_sum(((bowtie(b, a), 1), (bowtie(a, b), -1)), terms):
+        raise AssertionError("bowtie classes are nonzero")
+    return GraphSum(terms)
 
 
 # -- marking a vertex as external -------------------------------------------
@@ -246,30 +240,30 @@ def mark_one_external_raw(g):
     """Sum over all vertices of the graph with that vertex flagged
     external; terms violating admissibility are dropped.
     """
-    out = {}
-    for v in range(g.n):
-        def remap(w):
-            return 0 if w == v else (w + 1 if w < v else w)
-
-        edges = tuple((remap(a), remap(b)) for a, b in g.edges)
+    def admissible():
         flags = tuple(i == 0 for i in range(g.n))
-        marked = Graph(g.n, flags, edges)
-        try:
-            icg_check(marked)
-        except ValueError:
-            continue
-        cls, sign = canonicalize(marked, check=False)
-        if cls is None:
-            continue
-        out[cls] = out.get(cls, 0) + sign
-    return GraphSum(out)
+        for v in range(g.n):
+            def remap(w):
+                return 0 if w == v else (w + 1 if w < v else w)
+
+            marked = Graph(g.n, flags,
+                           tuple((remap(a), remap(b)) for a, b in g.edges))
+            try:
+                icg_check(marked)
+            except ValueError:
+                continue
+            yield marked, 1
+
+    terms = {}
+    canonical_sum(admissible(), terms)
+    return GraphSum(terms)
 
 
 def mark_one_external(gs):
-    total = GraphSum.zero()
+    terms = {}
     for cls, coeff in gs.terms.items():
-        total = total + mark_one_external_raw(cls.graph).scale(coeff)
-    return total
+        _add_scaled(terms, mark_one_external_raw(cls.graph), coeff)
+    return GraphSum(terms)
 
 
 def two_loop_part(gs):

@@ -56,13 +56,6 @@ class Perm3:
         # (s @ t).permute == s.permute after t.permute
         return Perm3(tuple(other.images[i] for i in self.images))
 
-    def inverse(self):
-        inv = [0, 0, 0]
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm3(inv)
-
-
 IDENTITY = Perm3((0, 1, 2))
 SWAP_12 = Perm3((1, 0, 2))
 SWAP_13 = Perm3((2, 1, 0))

@@ -110,56 +110,51 @@ class _SparsePoly:
         return " + ".join(bits)
 
 
-class Poly3(_SparsePoly):
+class _CommPoly(_SparsePoly):
+    """Commutative polynomials; keys are exponent tuples of length
+    ``nvars`` (set by each subclass) over the variables x, y, z in that
+    order.
+    """
+
+    @staticmethod
+    def _key_str(k):
+        return " ".join("%s^%d" % pair for pair in zip("xyz", k))
+
+    @classmethod
+    def variable(cls, i):
+        key = tuple(1 if j == i else 0 for j in range(cls.nvars))
+        return cls.monomial(key)
+
+    def degrees(self):
+        return sorted({sum(k) for k in self.terms})
+
+    def evaluate(self, vals):
+        total = Fraction(0)
+        for key, coeff in self.terms.items():
+            for val, exp in zip(vals, key):
+                coeff = coeff * val ** exp
+            total += coeff
+        return total
+
+
+class Poly3(_CommPoly):
     """Polynomial in three commuting variables; keys are exponent triples."""
+
+    nvars = 3
 
     @staticmethod
     def _mul_key(k1, k2):
         return (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
 
-    @staticmethod
-    def _key_str(k):
-        return "x^%d y^%d z^%d" % k
 
-    @classmethod
-    def variable(cls, i):
-        key = tuple(1 if j == i else 0 for j in range(3))
-        return cls.monomial(key)
-
-    def degrees(self):
-        return sorted({sum(k) for k in self.terms})
-
-    def evaluate(self, vals):
-        total = Fraction(0)
-        for (a, b, c), coeff in self.terms.items():
-            total += coeff * vals[0] ** a * vals[1] ** b * vals[2] ** c
-        return total
-
-
-class Poly2(_SparsePoly):
+class Poly2(_CommPoly):
     """Polynomial in two commuting variables; keys are exponent pairs."""
+
+    nvars = 2
 
     @staticmethod
     def _mul_key(k1, k2):
         return (k1[0] + k2[0], k1[1] + k2[1])
-
-    @staticmethod
-    def _key_str(k):
-        return "x^%d y^%d" % k
-
-    @classmethod
-    def variable(cls, i):
-        key = tuple(1 if j == i else 0 for j in range(2))
-        return cls.monomial(key)
-
-    def degrees(self):
-        return sorted({sum(k) for k in self.terms})
-
-    def evaluate(self, vals):
-        total = Fraction(0)
-        for (a, b), coeff in self.terms.items():
-            total += coeff * vals[0] ** a * vals[1] ** b
-        return total
 
 
 class NCPoly(_SparsePoly):
@@ -187,14 +182,6 @@ class NCPoly(_SparsePoly):
 
     def weights(self):
         return sorted({len(w) for w in self.terms})
-
-
-def word_depth(word):
-    return word.count("y")
-
-
-def word_weight(word):
-    return len(word)
 
 
 def even_part(p):

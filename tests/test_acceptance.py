@@ -123,29 +123,15 @@ def test_criterion_4_symmetry_criterion():
               "random non-kernel vectors fail it", ok)
 
 
-def _theta_shapes(grade, max_weight):
-    maxdeg = max_weight - (2 - grade)
-    shapes = set()
-    for c1 in range(maxdeg + 1):
-        for c2 in range(maxdeg + 1 - c1):
-            for c3 in range(maxdeg + 1 - c1 - c2):
-                total = c1 + c2 + c3
-                if 1 <= total <= maxdeg:
-                    key = tuple(sorted((c1, c2, c3), reverse=True))
-                    if sum(1 for c in key if c == 0) <= 1:
-                        shapes.add(key)
-    return sorted(shapes)
-
-
 def test_criterion_5_graph_polynomial_bridge():
-    from grt2.graphs.build import theta_graph
+    from grt2.graphs.build import theta_graph, theta_shapes
     from grt2.graphs.canon import canonicalize
     from grt2.graphs.ops import (icg_differential, icg_differential_raw,
                                  theta_graph_encode, theta_sum_encode)
 
     ok = True
     for grade in (0, 1):
-        for counts in _theta_shapes(grade, 9):
+        for counts in theta_shapes(grade, 9):
             g = theta_graph(grade, counts)
             first = icg_differential_raw(g)
             image = theta_sum_encode(first)
@@ -156,7 +142,7 @@ def test_criterion_5_graph_polynomial_bridge():
             ok = ok and icg_differential(first).is_zero()
     # the vanishing classes land on both sides in the same place
     for grade in (0, 1, 2):
-        for counts in _theta_shapes(grade, 9):
+        for counts in theta_shapes(grade, 9):
             cls, _ = canonicalize(theta_graph(grade, counts))
             deg = sum(counts)
             lemma_zero = (grade == 0 and deg % 2 == 0) or \

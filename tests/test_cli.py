@@ -118,22 +118,26 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_threads_env_matches(tmp_path):
-    # The child imports the same grt2 as this process, whether it is
-    # installed or reached through PYTHONPATH, and never the working tree.
+def test_output_independent_of_hash_seed(tmp_path):
+    # Two fresh interpreters with different string-hash seeds print the
+    # same bytes.  The child imports the same grt2 as this process,
+    # whether it is installed or reached through PYTHONPATH, and never
+    # the working tree.
     import_root = str(Path(grt2.__file__).resolve().parents[1])
-    env_runs = []
-    for threads in ("1", "4"):
-        result = subprocess.run(
-            [sys.executable, "-m", "grt2.cli", "dims",
-             "--max-weight", "15", "--degree", "2", "--format", "csv"],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={"GRT2_THREADS": threads, "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": import_root},
-        )
-        assert result.returncode == 0, result.stderr
-        env_runs.append(result.stdout)
-    assert env_runs[0] == env_runs[1]
+    for argv in (["dims", "--max-weight", "15", "--degree", "2",
+                  "--format", "csv"],
+                 ["relations", "--weight", "16"]):
+        outputs = []
+        for seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-m", "grt2.cli"] + argv,
+                capture_output=True, text=True, cwd=tmp_path,
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": import_root},
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1] != ""
 
 
 def test_export_relations(tmp_path, capsys):
@@ -181,3 +185,37 @@ def test_export_bad_path(capsys):
                       "--weight", "12", "--out",
                       "/nonexistent-dir/deep/k12.json")
     assert code == 1
+
+
+def assert_export_format_rejected(tmp_path, capsys, *argv):
+    out_path = tmp_path / "out"
+    code = main(["export", "--out", str(out_path)] + list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--what" in captured.err
+    assert not out_path.exists()
+
+
+def test_export_relations_rejects_csv(tmp_path, capsys):
+    assert_export_format_rejected(tmp_path, capsys, "--what", "relations",
+                                  "--weight", "12", "--format", "csv")
+
+
+def test_export_dims_rejects_graphtext(tmp_path, capsys):
+    assert_export_format_rejected(tmp_path, capsys, "--what", "dims",
+                                  "--max-weight", "8",
+                                  "--format", "graphtext")
+
+
+def test_export_graph_rejects_json(tmp_path, capsys):
+    assert_export_format_rejected(tmp_path, capsys, "--what", "graph",
+                                  "--graph", "wheel:3", "--format", "json")
+
+
+def test_export_graph_defaults_to_graphtext(tmp_path, capsys):
+    out_path = tmp_path / "wheel.graph"
+    code, _ = run_cli(capsys, "export", "--what", "graph",
+                      "--graph", "wheel:3", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text().startswith("V 4 E 6\n")

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grt2.graphs import (
     CANON_BACKEND,
@@ -12,7 +14,7 @@ from grt2.graphs import (
     graph_to_text,
 )
 from grt2.graphs._canon_py import canonical_form as python_form
-from grt2.graphs.build import figure_eight, theta_graph, wheel
+from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.core import gc2_degree, icg_check, icg_degree, weight
 from helpers import check_canonicalize_invariance
 
@@ -200,3 +202,50 @@ def test_graphtext_rejects_non_integer_fields():
     assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 1 x 2"), "e 1 x 2")
     assert_rejects_line(GOOD_BODY.replace("V 3 E 2", "V 3 E two"),
                         "V 3 E two")
+
+
+def test_graphtext_rejects_missing_vertex_line():
+    with pytest.raises(ValueError, match="vertex 0 "):
+        graph_from_text("V 3 E 2\ne 0 0 1\ne 1 1 2\n")
+    with pytest.raises(ValueError, match="vertex 2 "):
+        graph_from_text(GOOD_BODY.replace("v 2 int\n", ""))
+
+
+@st.composite
+def shuffled_named_graphs(draw):
+    """A wheel, theta graph or figure-eight with every vertex relabeled
+    and the edge order shuffled.
+    """
+    kind = draw(st.sampled_from(("wheel", "theta", "figure-eight")))
+    if kind == "wheel":
+        g = wheel(draw(st.sampled_from((3, 5, 7))))
+    elif kind == "theta":
+        grade = draw(st.integers(0, 2))
+        g = theta_graph(grade, draw(st.sampled_from(theta_shapes(grade, 8))))
+    else:
+        g = figure_eight(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    perm = draw(st.permutations(range(g.n)))
+    ext = [None] * g.n
+    for v in range(g.n):
+        ext[perm[v]] = g.ext[v]
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    order = draw(st.permutations(range(len(edges))))
+    return Graph(g.n, tuple(ext), tuple(edges[i] for i in order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_named_graphs())
+def test_graphtext_round_trip_property(g):
+    text = graph_to_text(g)
+    back = graph_from_text(text)
+    assert back == g
+    assert graph_to_text(back) == text
+
+
+@settings(max_examples=50, deadline=None)
+@given(shuffled_named_graphs())
+def test_graphtext_rejects_any_deleted_line(g):
+    lines = graph_to_text(g).splitlines()
+    for i in range(len(lines)):
+        with pytest.raises(ValueError):
+            graph_from_text("\n".join(lines[:i] + lines[i + 1:]) + "\n")
