@@ -152,36 +152,48 @@ def cmd_relations(args):
 # -- graphs ------------------------------------------------------------------
 
 
+def _theta_cases(weight_cap):
+    """(grade, counts) of every grade-0 and grade-1 theta shape within
+    the weight cap; a cap that leaves none is a usage error.
+    """
+    from .graphs.build import theta_shapes
+
+    cases = [(grade, counts) for grade in (0, 1)
+             for counts in theta_shapes(grade, weight_cap)]
+    if not cases:
+        raise UsageError("--size-cap %d leaves no theta shape; the "
+                         "smallest cap with one is 3" % weight_cap)
+    return cases
+
+
 def check_d_squared(weight_cap):
-    from .graphs.build import theta_graph, theta_shapes
+    from .graphs.build import theta_graph
     from .graphs.ops import icg_differential, icg_differential_raw
 
     results = []
-    for grade in (0, 1):
-        for counts in theta_shapes(grade, weight_cap):
-            d1 = icg_differential_raw(theta_graph(grade, counts))
-            ok = icg_differential(d1).is_zero()
-            results.append(("d0^2 theta grade %d %s" % (grade, counts), ok))
+    for grade, counts in _theta_cases(weight_cap):
+        d1 = icg_differential_raw(theta_graph(grade, counts))
+        ok = icg_differential(d1).is_zero()
+        results.append(("d0^2 theta grade %d %s" % (grade, counts), ok))
     return results
 
 
 def check_encoding(weight_cap):
-    from .graphs.build import theta_graph, theta_shapes
+    from .graphs.build import theta_graph
     from .graphs.ops import (icg_differential_raw, theta_graph_encode,
                              theta_sum_encode)
     from .poly import Poly3
     from .theta import ThetaElement, d0_theta
 
     results = []
-    for grade in (0, 1):
-        for counts in theta_shapes(grade, weight_cap):
-            g = theta_graph(grade, counts)
-            image = theta_sum_encode(icg_differential_raw(g))
-            lhs = image.get(grade + 1, ThetaElement(grade + 1, Poly3.zero()))
-            rhs = d0_theta(theta_graph_encode(g))
-            results.append(
-                ("encode d0 = d0 encode, grade %d %s" % (grade, counts),
-                 lhs.value == rhs.value))
+    for grade, counts in _theta_cases(weight_cap):
+        g = theta_graph(grade, counts)
+        image = theta_sum_encode(icg_differential_raw(g))
+        lhs = image.get(grade + 1, ThetaElement(grade + 1, Poly3.zero()))
+        rhs = d0_theta(theta_graph_encode(g))
+        results.append(
+            ("encode d0 = d0 encode, grade %d %s" % (grade, counts),
+             lhs.value == rhs.value))
     return results
 
 
@@ -281,21 +293,31 @@ def _write_atomic(path, text):
 
 
 def _graph_from_spec(spec):
+    """The graph a ``--graph`` spec names; a spec that names none is a
+    usage error.
+    """
     from .graphs.build import figure_eight, theta_graph, wheel
 
     kind, _, rest = spec.partition(":")
-    if kind == "wheel":
-        return wheel(int(rest))
-    if kind == "theta":
-        grade_s, _, counts_s = rest.partition(":")
-        counts = tuple(int(c) for c in counts_s.split(","))
-        return theta_graph(int(grade_s), counts)
-    if kind == "figure-eight":
-        c1, c2 = (int(c) for c in rest.split(","))
-        return figure_eight(c1, c2)
-    raise ValueError(
-        "graph spec must be wheel:<spokes>, theta:<grade>:<k1>,<k2>,<k3> "
-        "or figure-eight:<c1>,<c2>; got %r" % spec)
+    try:
+        if kind == "wheel":
+            return wheel(int(rest))
+        if kind == "theta":
+            grade_s, _, counts_s = rest.partition(":")
+            counts = tuple(int(c) for c in counts_s.split(","))
+            if len(counts) != 3:
+                raise ValueError("theta takes three hair counts")
+            return theta_graph(int(grade_s), counts)
+        if kind == "figure-eight":
+            counts = tuple(int(c) for c in rest.split(","))
+            if len(counts) != 2:
+                raise ValueError("figure-eight takes two loop lengths")
+            return figure_eight(*counts)
+    except ValueError as exc:
+        raise UsageError("bad graph spec %r: %s" % (spec, exc)) from None
+    raise UsageError(
+        "bad graph spec %r: it must be wheel:<spokes>, "
+        "theta:<grade>:<k1>,<k2>,<k3> or figure-eight:<c1>,<c2>" % spec)
 
 
 # The formats each export writes; the first is the default.

@@ -9,14 +9,13 @@ automorphism inducing an odd edge permutation is zero.
 """
 
 from .core import Graph, GraphClass, GraphSum, graph_from_text, graph_to_text
-from .canon import canonicalize, CANON_BACKEND
+from .canon import canonicalize
 
 __all__ = [
     "Graph",
     "GraphClass",
     "GraphSum",
     "canonicalize",
-    "CANON_BACKEND",
     "graph_from_text",
     "graph_to_text",
 ]

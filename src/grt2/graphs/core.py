@@ -36,9 +36,6 @@ class Graph:
     def num_edges(self):
         return len(self.edges)
 
-    def valence(self, v):
-        return sum(1 for e in self.edges for w in e if w == v)
-
     def valences(self):
         out = [0] * self.n
         for u, v in self.edges:

@@ -9,7 +9,7 @@ from itertools import combinations, product
 from ..poly import Poly3
 from ..theta import ThetaElement
 from .build import theta_graph, wheel
-from .canon import canonical_sum, canonicalize
+from .canon import automorphisms, canonical_sum, canonicalize
 from .core import Graph, GraphSum, gc2_degree, icg_check
 
 
@@ -175,14 +175,47 @@ def insert_at(g1, j, g2, assignment):
 def pre_lie_raw(g1, g2):
     """Sum over all vertices of g1 and all reattachments of the loose
     edges to vertices of g2, canonicalized.
+
+    Aut(g1) x Aut(g2) acts on the pairs (vertex j, assignment): sigma
+    moves j to sigma(j) and each loose edge to its image, tau moves
+    each target t to tau(t).  The terms of one orbit are one graph up to
+    an edge permutation that is even, because a nonzero class has only
+    even automorphisms; so each orbit is canonicalized once, through its
+    first pair, with its size as coefficient.  If the class of g1 or g2
+    is zero, an odd automorphism pairs the terms off and the sum is zero.
     """
+    aut1, aut2 = automorphisms(g1), automorphisms(g2)
+    if aut1 is None or aut2 is None:
+        return GraphSum()
+    loose = [g1.incident_edges(j) for j in range(g1.n)]
+    position = {e: i for i, e in enumerate(g1.edges)}
+    # moves[k][j][i]: where the i-th loose edge at j lands among the
+    # loose edges at aut1[k][j]
+    moves = []
+    for sigma in aut1:
+        edge_image = [position[tuple(sorted((sigma[u], sigma[v])))]
+                      for u, v in g1.edges]
+        moves.append([[loose[sigma[j]].index(edge_image[e])
+                       for e in loose[j]] for j in range(g1.n)])
+
+    def orbit_representatives():
+        seen = set()
+        for j in range(g1.n):
+            for assignment in product(range(g2.n), repeat=len(loose[j])):
+                if (j, assignment) in seen:
+                    continue
+                orbit = set()
+                for sigma, move in zip(aut1, moves):
+                    for tau in aut2:
+                        image = [0] * len(assignment)
+                        for i, t in zip(move[j], assignment):
+                            image[i] = tau[t]
+                        orbit.add((sigma[j], tuple(image)))
+                seen |= orbit
+                yield insert_at(g1, j, g2, assignment), len(orbit)
+
     terms = {}
-    canonical_sum(
-        ((insert_at(g1, j, g2, assignment), 1)
-         for j in range(g1.n)
-         for assignment in product(range(g2.n),
-                                   repeat=len(g1.incident_edges(j)))),
-        terms)
+    canonical_sum(orbit_representatives(), terms)
     return GraphSum(terms)
 
 

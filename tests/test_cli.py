@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import grt2
 from grt2.cli import main
 from grt2.graphs.core import graph_from_text, graph_to_text
@@ -112,6 +114,21 @@ def test_graphs_checks(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("check", ["d-squared", "encoding"])
+@pytest.mark.parametrize("cap", ["2", "-5"])
+def test_graphs_cap_without_theta_shape_is_usage_error(capsys, check, cap):
+    code = main(["graphs", "--check", check, "--size-cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--size-cap %s" % cap in captured.err
+    # the smallest cap that leaves a shape runs its one case
+    code, out = run_cli(capsys, "graphs", "--check", check,
+                        "--size-cap", "3")
+    assert code == 0
+    assert out.count("pass") == 1 and "FAIL" not in out
+
+
 def test_deterministic_output(capsys):
     _, first = run_cli(capsys, "relations", "--weight", "16")
     _, second = run_cli(capsys, "relations", "--weight", "16")
@@ -185,6 +202,19 @@ def test_export_bad_path(capsys):
                       "--weight", "12", "--out",
                       "/nonexistent-dir/deep/k12.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("spec", ["wheel:4", "wheel:abc", "theta:1:2,3",
+                                  "cube"])
+def test_export_bad_graph_spec_is_usage_error(tmp_path, capsys, spec):
+    out_path = tmp_path / "out.graph"
+    code = main(["export", "--what", "graph", "--graph", spec,
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert repr(spec) in captured.err
+    assert not out_path.exists()
 
 
 def assert_export_format_rejected(tmp_path, capsys, *argv):

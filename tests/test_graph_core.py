@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grt2.graphs import (
-    CANON_BACKEND,
     Graph,
     GraphSum,
     canonicalize,
     graph_from_text,
     graph_to_text,
 )
-from grt2.graphs._canon_py import canonical_form as python_form
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.core import gc2_degree, icg_check, icg_degree, weight
 from helpers import check_canonicalize_invariance
@@ -100,32 +98,6 @@ def test_canonicalize_invariance_randomized():
         figure_eight(2, 4),
     ]
     check_canonicalize_invariance(rng, graphs)
-
-
-def test_backends_agree():
-    rng = random.Random(52)
-    try:
-        from grt2.graphs._canon_cy import canonical_form as compiled_form
-    except ImportError:
-        pytest.skip("compiled backend not built")
-    graphs = [wheel(3), wheel(5), wheel(7), theta_graph(0, (2, 3, 4)),
-              theta_graph(1, (4, 2, 0)), figure_eight(2, 4)]
-    # include randomly relabeled variants
-    for g in list(graphs):
-        internal = [v for v in range(g.n) if not g.ext[v]]
-        for _ in range(5):
-            perm = dict(zip(internal, rng.sample(internal, len(internal))))
-            edges = [tuple(sorted((perm.get(u, u), perm.get(v, v))))
-                     for u, v in g.edges]
-            rng.shuffle(edges)
-            graphs.append(Graph(g.n, g.ext, tuple(edges)))
-    for g in graphs:
-        assert python_form(g.n, g.ext, g.edges) == \
-            compiled_form(g.n, g.ext, g.edges)
-
-
-def test_backend_reported():
-    assert CANON_BACKEND in ("compiled", "python")
 
 
 def test_graphsum_arithmetic():

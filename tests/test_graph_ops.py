@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from grt2.graphs.build import figure_eight, theta_graph, wheel
-from grt2.graphs.canon import canonicalize
+from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
 from grt2.graphs.core import Graph, GraphSum
 from grt2.graphs.ops import (
     bowtie,
@@ -17,6 +19,7 @@ from grt2.graphs.ops import (
     is_one_vertex_irreducible,
     mark_one_external,
     mark_one_external_raw,
+    pre_lie_raw,
     theta_graph_decode,
     theta_graph_encode,
     theta_sum_encode,
@@ -185,6 +188,82 @@ def test_bracket_level2_is_bowtie_difference():
     assert 0 not in ratios
 
 
+# The 4-spoke wheel: a rim reflection is an odd automorphism, so its
+# class is zero.
+WHEEL4 = Graph(5, (False,) * 5,
+               ((0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (3, 4), (0, 4),
+                (1, 4)))
+
+
+def pre_lie_reference(g1, g2):
+    """Every (vertex, assignment) pair through canonical_sum, each with
+    coefficient 1: the plain definition of the insertion product."""
+    terms = {}
+    canonical_sum(
+        ((insert_at(g1, j, g2, assignment), 1)
+         for j in range(g1.n)
+         for assignment in product(range(g2.n),
+                                   repeat=len(g1.incident_edges(j)))),
+        terms)
+    return GraphSum(terms)
+
+
+def test_pre_lie_orbits_match_reference():
+    w3, w5, w7 = wheel(3), wheel(5), wheel(7)
+    level2 = gc2_bracket(wheel_class(3), wheel_class(5)).restrict(
+        lambda c: filtration_value(c.graph) == 2)
+    g = level2.sorted_terms()[0][0].graph
+    for g1, g2 in ((w3, w5), (w5, w3), (w3, w3), (w3, w7), (g, w3),
+                   (w3, g)):
+        got, want = pre_lie_raw(g1, g2), pre_lie_reference(g1, g2)
+        assert got == want, (g1, g2)
+        assert list(got.terms) == list(want.terms)
+        assert not got.is_zero()
+    for g1, g2 in ((WHEEL4, w3), (w3, WHEEL4)):
+        assert pre_lie_reference(g1, g2).is_zero()
+        assert pre_lie_raw(g1, g2).is_zero()
+
+
+def assert_automorphism_group(g, group):
+    edges = sorted(g.edges)
+    assert group[0] == tuple(range(g.n))
+    assert len(set(group)) == len(group)
+    for sigma in group:
+        assert sorted(sigma) == list(range(g.n))
+        assert all(sigma[v] == v for v in g.external_vertices())
+        assert sorted(tuple(sorted((sigma[u], sigma[v])))
+                      for u, v in g.edges) == edges
+    members = set(group)
+    for sigma in group:
+        for tau in group:
+            assert tuple(sigma[tau[v]] for v in range(g.n)) in members
+
+
+def test_automorphism_group():
+    rng = random.Random(5)
+    orders = {3: 24, 5: 10, 7: 14, 9: 18}
+    for spokes, order in orders.items():
+        g = wheel(spokes)
+        group = automorphisms(g)
+        assert len(group) == order
+        assert_automorphism_group(g, group)
+    for g in (theta_graph(1, (2, 4, 0)), theta_graph(0, (2, 3, 4)),
+              figure_eight(2, 4), wheel(3), wheel(7)):
+        group = automorphisms(g)
+        assert_automorphism_group(g, group)
+        internal = g.internal_vertices()
+        for _ in range(5):
+            perm = dict(zip(internal, rng.sample(internal, len(internal))))
+            edges = [(perm.get(u, u), perm.get(v, v)) for u, v in g.edges]
+            rng.shuffle(edges)
+            relabeled = Graph(g.n, g.ext, tuple(edges))
+            other = automorphisms(relabeled)
+            assert len(other) == len(group)
+            assert_automorphism_group(relabeled, other)
+    assert automorphisms(WHEEL4) is None
+    assert automorphisms(theta_graph(1, (2, 2, 1))) is None
+
+
 def test_insertion_counts():
     # inserting at a trivalent vertex reattaches three loose edges
     g1, g2 = wheel(3), wheel(5)
@@ -254,7 +333,7 @@ def test_marking_bowtie_two_loop_projection():
     # only the top-valence marking of a level-2 graph survives the
     # two-loop projection
     g = bowtie(3, 5)
-    top = max(range(g.n), key=g.valence)
+    top = max(range(g.n), key=g.valences().__getitem__)
     marked = mark_one_external_raw(g)
     surviving = two_loop_part(marked)
     assert len(surviving.terms) == 1
