@@ -222,6 +222,9 @@ def check_filtration(size_cap):
     from .graphs.build import wheel
     from .graphs.ops import filtration_value, gc2_bracket, wheel_class
 
+    if size_cap < 9:
+        raise UsageError("--size-cap %d is below 9, the vertex count of "
+                         "the [w3,w5] bracket's graphs" % size_cap)
     results = []
     for s in (3, 5, 7):
         results.append(("wheel(%d) at filtration level 1" % s,
@@ -264,12 +267,18 @@ GRAPH_CHECKS = {
     "filtration": check_filtration,
     "theta-identity": check_theta_identity,
 }
+# Checks on fixed graphs, which a size cap cannot change.
+FIXED_GRAPH_CHECKS = ("bowtie", "theta-identity")
 
 
 def cmd_graphs(args):
-    if args.size_cap > 12:
+    size_cap = 12 if args.size_cap is None else args.size_cap
+    if size_cap > 12:
         raise UsageError("--size-cap is limited to 12")
-    results = GRAPH_CHECKS[args.check](args.size_cap)
+    if args.size_cap is not None and args.check in FIXED_GRAPH_CHECKS:
+        raise UsageError("graphs --check %s builds fixed graphs and takes "
+                         "no --size-cap" % args.check)
+    results = GRAPH_CHECKS[args.check](size_cap)
     ok = True
     for name, passed in results:
         print("%s  %s" % ("pass" if passed else "FAIL", name))
@@ -400,7 +409,10 @@ def build_parser():
 
     p = sub.add_parser("graphs", help="graph-complex property suites")
     p.add_argument("--check", choices=sorted(GRAPH_CHECKS), required=True)
-    p.add_argument("--size-cap", type=int, default=12)
+    p.add_argument("--size-cap", type=int,
+                   help="default 12: the weight cap of d-squared and "
+                        "encoding, the vertex cap of filtration (at "
+                        "least 9); bowtie and theta-identity take none")
     p.set_defaults(func=cmd_graphs)
 
     p = sub.add_parser("export", help="write machine-readable files")

@@ -13,28 +13,39 @@ from .canon import automorphisms, canonical_sum, canonicalize
 from .core import Graph, GraphSum, gc2_degree, icg_check
 
 
-def internal_loop_count(g):
-    """First Betti number of the subgraph on internal vertices."""
-    internal = [v for v in range(g.n) if not g.ext[v]]
-    keep = set(internal)
-    inner = [e for e in g.edges if e[0] in keep and e[1] in keep]
-    if not internal:
-        return 0
-    parent = {v: v for v in internal}
+def _internal_components(g):
+    """Union-find over the subgraph on internal vertices.
+
+    Returns the component root of every vertex (None for external
+    vertices), the number of internal edges and the number of
+    components.
+    """
+    root = [None if g.ext[v] else v for v in range(g.n)]
 
     def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
         return v
 
-    components = len(internal)
-    for u, v in inner:
+    inner = 0
+    components = g.n - sum(g.ext)
+    for u, v in g.edges:
+        if root[u] is None or root[v] is None:
+            continue
+        inner += 1
         ru, rv = find(u), find(v)
         if ru != rv:
-            parent[ru] = rv
+            root[ru] = rv
             components -= 1
-    return len(inner) - len(internal) + components
+    return ([None if g.ext[v] else find(v) for v in range(g.n)], inner,
+            components)
+
+
+def internal_loop_count(g):
+    """First Betti number of the subgraph on internal vertices."""
+    _, inner, components = _internal_components(g)
+    return inner - (g.n - sum(g.ext)) + components
 
 
 def filtration_value(g):
@@ -86,6 +97,21 @@ def _split(g, v, moved):
     return Graph(g.n + 1, g.ext + (False,), tuple(edges))
 
 
+def _moved_sets(g, v):
+    """The edge positions each admissible split of vertex v moves, in
+    the order ``split_terms`` yields the splits.
+    """
+    incident = g.incident_edges(v)
+    m = len(incident)
+    if g.ext[v]:
+        for size in range(2, m + 1):
+            yield from combinations(incident, size)
+    elif m >= 4:
+        rest = incident[1:]
+        for size in range(2, m - 1):
+            yield from combinations(rest, size)
+
+
 def split_terms(g, v):
     """All admissible ways of splitting one vertex.
 
@@ -95,32 +121,55 @@ def split_terms(g, v):
     external vertex sheds any two or more of its edges onto the new
     internal vertex.
     """
-    incident = g.incident_edges(v)
-    m = len(incident)
-    if g.ext[v]:
-        for size in range(2, m + 1):
-            for moved in combinations(incident, size):
-                yield _split(g, v, moved)
-    else:
-        if m < 4:
-            return
-        rest = incident[1:]
-        for size in range(2, m - 1):
-            for moved in combinations(rest, size):
-                yield _split(g, v, moved)
+    for moved in _moved_sets(g, v):
+        yield _split(g, v, moved)
 
 
 def icg_differential_raw(g, loop_preserving=True):
     """Vertex-splitting differential of a single labeled graph, as a
-    canonicalized sum.  With ``loop_preserving`` the terms whose internal
-    loop count exceeds the input's are discarded.
+    canonicalized sum.  Only internally connected terms count; with
+    ``loop_preserving`` the terms whose internal loop count exceeds the
+    input's are discarded too.
+
+    Both conditions are read off the input and the moved edges before a
+    term is built.  Splitting an internal vertex hangs the new vertex on
+    it and keeps the loop count, so it is connected exactly when the
+    input's internal part is.  Splitting an external vertex joins the
+    new vertex to the internal components that its ``a`` moved internal
+    edges reach; with ``c`` of them distinct the term is connected
+    exactly when ``c`` is the number of components, and it then has
+    ``a - c`` more loops than the input.
     """
-    base = internal_loop_count(g)
-    kept = (term for v in range(g.n) for term in split_terms(g, v)
-            if term.is_internally_connected()
-            and not (loop_preserving and internal_loop_count(term) > base))
+    root, _, components = _internal_components(g)
+
+    def kept():
+        for v in range(g.n):
+            if not g.ext[v]:
+                if components == 1:
+                    for moved in _moved_sets(g, v):
+                        yield _split(g, v, moved), 1
+                continue
+            # the component each incident edge leads into, None for an
+            # edge to another external vertex
+            reach = {}
+            for i in g.incident_edges(v):
+                x, y = g.edges[i]
+                reach[i] = root[y if x == v else x]
+            # a kept split moves one edge into each component and, when
+            # loops are preserved, no further internal edge; the rest of
+            # its at least two edges run to other external vertices
+            if loop_preserving and components + sum(
+                    r is None for r in reach.values()) < 2:
+                continue
+            for moved in _moved_sets(g, v):
+                hit = [reach[i] for i in moved if reach[i] is not None]
+                c = len(set(hit))
+                if c == components and not (loop_preserving
+                                            and len(hit) != c):
+                    yield _split(g, v, moved), 1
+
     terms = {}
-    canonical_sum(((term, 1) for term in kept), terms)
+    canonical_sum(kept(), terms)
     return GraphSum(terms)
 
 

@@ -129,6 +129,23 @@ def test_graphs_cap_without_theta_shape_is_usage_error(capsys, check, cap):
     assert out.count("pass") == 1 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("check, cap, message", [
+    ("filtration", "8", "--size-cap 8 is below 9"),
+    ("filtration", "-5", "--size-cap -5 is below 9"),
+    ("bowtie", "9", "takes no --size-cap"),
+    ("bowtie", "12", "takes no --size-cap"),
+    ("theta-identity", "-5", "takes no --size-cap"),
+    ("theta-identity", "12", "takes no --size-cap"),
+])
+def test_graphs_cap_the_check_cannot_honour_is_usage_error(
+        capsys, check, cap, message):
+    code = main(["graphs", "--check", check, "--size-cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_deterministic_output(capsys):
     _, first = run_cli(capsys, "relations", "--weight", "16")
     _, second = run_cli(capsys, "relations", "--weight", "16")

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grt2.graphs import build
 from grt2.graphs.build import figure_eight, theta_graph, wheel
 from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
 from grt2.graphs.core import Graph, GraphSum
@@ -20,6 +23,7 @@ from grt2.graphs.ops import (
     mark_one_external,
     mark_one_external_raw,
     pre_lie_raw,
+    split_terms,
     theta_graph_decode,
     theta_graph_encode,
     theta_sum_encode,
@@ -81,6 +85,90 @@ def test_d_squared_loop_preserving():
         for counts in theta_shapes(grade, 9):
             first = icg_differential_raw(theta_graph(grade, counts))
             assert icg_differential(first).is_zero(), (grade, counts)
+
+
+def test_d_squared_and_bridge_through_weight_12():
+    # d0^2 = 0 and encode(d0 g) = d0(encode g) on every grade-0 and
+    # grade-1 theta shape of weight at most 12
+    for grade in (0, 1):
+        for counts in build.theta_shapes(grade, 12):
+            g = theta_graph(grade, counts)
+            first = icg_differential_raw(g)
+            assert icg_differential(first).is_zero(), (grade, counts)
+            image = theta_sum_encode(first)
+            lhs = image.get(grade + 1,
+                            ThetaElement(grade + 1, Poly3.zero()))
+            rhs = d0_theta(theta_graph_encode(g))
+            assert lhs.value == rhs.value, (grade, counts)
+
+
+def test_split_terms_counts():
+    # an external vertex of valence m sheds any 2..m of its edges; an
+    # internal one keeps its first edge and moves 2..m-2 of the rest
+    cases = (theta_graph(0, (3, 2, 1)), theta_graph(1, (2, 4, 0)),
+             figure_eight(2, 4), wheel(5),
+             Graph(4, (True, True, False, False),
+                   ((0, 1), (0, 2), (0, 2), (0, 3), (1, 2), (1, 3),
+                    (2, 3), (2, 3))))
+    for g in cases:
+        valences = g.valences()
+        for v in range(g.n):
+            m = valences[v]
+            if g.ext[v]:
+                want = 2 ** m - m - 1
+            else:
+                want = 2 ** (m - 1) - m - 1 if m >= 4 else 0
+            terms = list(split_terms(g, v))
+            assert len(terms) == want, (g, v)
+            for term in terms:
+                assert term.n == g.n + 1 and not term.ext[g.n]
+                assert term.num_edges == g.num_edges + 1
+                assert term.edges[-1] == (v, g.n)
+    # the splitting part of perfbench/canon_probe.py's graph set
+    seed = theta_graph(0, (3, 2, 1))
+    assert sum(len(list(split_terms(seed, v))) for v in range(seed.n)) \
+        == 253
+
+
+def icg_differential_reference(g, loop_preserving):
+    """Every split term through the connectivity and loop filters, then
+    through canonical_sum: the plain definition of the differential."""
+    base = internal_loop_count(g)
+    terms = {}
+    canonical_sum(
+        ((term, 1) for v in range(g.n) for term in split_terms(g, v)
+         if term.is_internally_connected()
+         and not (loop_preserving and internal_loop_count(term) > base)),
+        terms)
+    return GraphSum(terms)
+
+
+@st.composite
+def splitting_inputs(draw):
+    """Graphs with 1-3 external vertices anywhere in the labeling and up
+    to five internal ones: simple graphs, some with a doubled edge, edges
+    between external vertices or disconnected internal parts."""
+    n_ext = draw(st.integers(1, 3))
+    n_int = draw(st.integers(0, 5))
+    ext = tuple(draw(st.permutations([True] * n_ext + [False] * n_int)))
+    n = len(ext)
+    if n < 2:
+        return Graph(n, ext, ())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+        lambda p: tuple(sorted((p[0], p[1] + (p[1] >= p[0])))))
+    edges = draw(st.lists(pairs, max_size=12, unique=True))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=1))
+    return Graph(n, ext, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(splitting_inputs(), st.booleans())
+def test_icg_differential_matches_reference(g, loop_preserving):
+    got = icg_differential_raw(g, loop_preserving)
+    want = icg_differential_reference(g, loop_preserving)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
 
 
 def test_d_squared_full_differential():
