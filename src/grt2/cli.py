@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .liealg import bracket_kernel, schneps_check
@@ -103,10 +102,9 @@ def relations_report(weight, oracle):
     for name, vecs in spaces.items():
         report["vectors"][name] = [list(v.coeffs) for v in vecs]
     if oracle == "all":
-        base = [[Fraction(c) for c in v.coeffs] for v in spaces["rank"]]
+        base = [v.coeffs for v in spaces["rank"]]
         for name in ("psi", "ihara"):
-            other = [[Fraction(c) for c in v.coeffs] for v in spaces[name]]
-            if not span_equal(base, other):
+            if not span_equal(base, [v.coeffs for v in spaces[name]]):
                 report["status"] = "oracle-disagreement:%s" % name
         for vecs in spaces.values():
             for v in vecs:

@@ -18,7 +18,6 @@ conditions G + (13).G = 0 and G + (123).G + (132).G = 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .linalg import kernel_mod_image
@@ -34,7 +33,7 @@ def ad_power(n):
     terms = {}
     for u in range(n + 1):
         word = "x" * (n - u) + "y" + "x" * u
-        terms[word] = Fraction((-1) ** u * comb(n, u))
+        terms[word] = (-1) ** u * comb(n, u)
     return NCPoly(terms)
 
 
@@ -45,7 +44,7 @@ def apply_derivation(index, w):
     out = {}
 
     def add(word, coeff):
-        out[word] = out.get(word, Fraction(0)) + coeff
+        out[word] = out.get(word, 0) + coeff
 
     for word, coeff in w.terms.items():
         for i, letter in enumerate(word):
@@ -74,7 +73,7 @@ def depth2_encode(p):
         first = word.index("y")
         second = word.index("y", first + 1)
         key = (first, second - first - 1, len(word) - second - 1)
-        out[key] = out.get(key, Fraction(0)) + coeff
+        out[key] = out.get(key, 0) + coeff
     return Poly3(out)
 
 
@@ -108,10 +107,10 @@ def extend_coefficients(k, coeffs):
     m = generator_count(k)
     if len(coeffs) != m:
         raise ValueError("expected %d coefficients for weight %d" % (m, k))
-    full = [Fraction(0)] * ((k - 4) // 2 + 1)  # 1-based
+    full = [0] * ((k - 4) // 2 + 1)  # 1-based
     for i, a in enumerate(coeffs, start=1):
-        full[i] = Fraction(a)
-        full[k // 2 - 1 - i] = -Fraction(a)
+        full[i] = a
+        full[k // 2 - 1 - i] = -a
     return full[1:]
 
 

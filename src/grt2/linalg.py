@@ -2,9 +2,10 @@
 
 :class:`Echelon` holds a row echelon form built one vector at a time.  A
 vector is a sparse mapping from index to value or a dense sequence of
-values.  Pivot rows are sparse dicts of
-Fractions, keyed by their leading (smallest) index and scaled to 1
-there.  An incoming vector is reduced forward only: the pivot row at its
+values, each an int or a Fraction; any other value is a ValueError.
+Pivot rows are sparse dicts of Fractions, keyed by their leading
+(smallest) index and scaled to 1 there.  An incoming vector is reduced
+forward only: the pivot row at its
 current leading index is subtracted until that index carries no pivot,
 and the remainder, if any, becomes a new pivot.  Stored pivots are never
 touched again, so one vector costs work proportional to the pivots it
@@ -38,6 +39,25 @@ def _entries(vec):
     return vec.items() if isinstance(vec, dict) else enumerate(vec)
 
 
+def _fractions(vec):
+    """The nonzero entries of a vector as a sparse dict of Fractions.
+    An entry that is neither an int nor a Fraction, such as a float,
+    raises ValueError naming its index.
+    """
+    out = {}
+    for i, v in _entries(vec):
+        if type(v) is int:
+            if v:
+                out[i] = Fraction(v)
+        elif type(v) is Fraction:
+            if v:
+                out[i] = v
+        else:
+            raise ValueError("entry %r is not an int or a Fraction: %r"
+                             % (i, v))
+    return out
+
+
 class Echelon:
     """Row echelon form over Q, grown by :meth:`add`; its length is the
     rank of the vectors added so far.
@@ -60,8 +80,8 @@ class Echelon:
         vector d with sum_j d_j * (vector tagged e_j) = 0 when every
         vector was added with a unit tag ({} when no tag was given).
         """
-        vec = {i: Fraction(v) for i, v in _entries(vec) if v}
-        tag = {i: Fraction(v) for i, v in tag.items() if v} if tag else {}
+        vec = _fractions(vec)
+        tag = _fractions(tag) if tag else {}
         pivots = self._pivots
         while vec:
             lead = min(vec)

@@ -9,8 +9,11 @@ Three rings are provided:
 * :class:`NCPoly` -- polynomials in two noncommuting letters ``x`` and
   ``y``; words are plain strings over the alphabet ``xy``.
 
-Coefficients are :class:`fractions.Fraction`.  Zero terms are never
-stored, so equality is structural.  Instances are treated as immutable:
+A coefficient is stored as an ``int`` when it is integral and as a
+:class:`fractions.Fraction` only when it is not, so integer data never
+pays for rational arithmetic; any other value, such as a ``float`` or a
+``str``, raises ``ValueError``.  Zero terms are never stored, so
+equality is structural.  Instances are treated as immutable:
 no method mutates ``self`` or its arguments.
 """
 
@@ -20,8 +23,15 @@ from fractions import Fraction
 from math import comb
 
 
-def _clean(terms):
-    return {k: c for k, c in terms.items() if c != 0}
+def _exact(c):
+    """c as an int when integral and as a Fraction otherwise, or None
+    when c is neither an int nor a Fraction.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    return None
 
 
 class _SparsePoly:
@@ -30,10 +40,19 @@ class _SparsePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        object.__setattr__(self, "terms", _clean(
-            {k: Fraction(c) for k, c in terms.items()}))
+        out = {}
+        if terms:
+            for k, c in terms.items():
+                if type(c) is not int:
+                    exact = _exact(c)
+                    if exact is None:
+                        raise ValueError(
+                            "coefficient of %r is not an int or a Fraction: "
+                            "%r" % (k, c))
+                    c = exact
+                if c:
+                    out[k] = c
+        object.__setattr__(self, "terms", out)
 
     def __setattr__(self, name, value):
         raise AttributeError("polynomial instances are immutable")
@@ -44,7 +63,7 @@ class _SparsePoly:
 
     @classmethod
     def monomial(cls, key, coeff=1):
-        return cls({key: Fraction(coeff)})
+        return cls({key: coeff})
 
     def is_zero(self):
         return not self.terms
@@ -63,7 +82,7 @@ class _SparsePoly:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return type(self)(out)
 
     def __neg__(self):
@@ -73,10 +92,13 @@ class _SparsePoly:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
+        f = _exact(c)
+        if f is None:
+            raise ValueError(
+                "scale factor is not an int or a Fraction: %r" % (c,))
+        if f == 0:
             return type(self).zero()
-        return type(self)({k: c * v for k, v in self.terms.items()})
+        return type(self)({k: f * v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -92,11 +114,11 @@ class _SparsePoly:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = self._mul_key(k1, k2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
+                out[k] = out.get(k, 0) + c1 * c2
         return type(self)(out)
 
     def coeff(self, key):
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -206,7 +228,7 @@ def substitute_phi(p):
         for j in range(c + 1):
             key = (a + j, b + c - j)
             term = coeff * ((-1) ** c) * comb(c, j)
-            out[key] = out.get(key, Fraction(0)) + term
+            out[key] = out.get(key, 0) + term
     return Poly2(out)
 
 

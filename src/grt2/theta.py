@@ -180,18 +180,18 @@ def _psi_monomial(a, b):
     if a > b:
         return tuple((k, -c) for k, c in _psi_monomial(b, a))
     if a % 2 == 0:
-        return (((a, b), Fraction(1)),)
+        return (((a, b), 1),)
     acc = {}
 
     def add(pairs, mult):
         for key, c in pairs:
-            acc[key] = acc.get(key, Fraction(0)) + mult * c
+            acc[key] = acc.get(key, 0) + mult * c
 
-    add(_psi_monomial(a + 1, b - 1), Fraction(1))
+    add(_psi_monomial(a + 1, b - 1), 1)
     for j in range(2, a + 2, 2):
-        add(_psi_monomial(j, a + b - j), Fraction(comb(a + 1, j)))
+        add(_psi_monomial(j, a + b - j), comb(a + 1, j))
     for j in range(1, a - 1, 2):
-        add(_psi_monomial(j, a + b - j), Fraction(comb(a + 1, j)))
+        add(_psi_monomial(j, a + b - j), comb(a + 1, j))
     scale = Fraction(-1, a + 1)
     return tuple(sorted((k, scale * c) for k, c in acc.items() if c != 0))
 
@@ -206,7 +206,7 @@ def psi(p):
             raise ValueError(
                 "psi is defined on even polynomials; got x^%d y^%d" % (a, b))
         for key, c in _psi_monomial(a, b):
-            out[key] = out.get(key, Fraction(0)) + coeff * c
+            out[key] = out.get(key, 0) + coeff * c
     return Poly2(out)
 
 
@@ -304,7 +304,7 @@ def relation_space_psi(k):
             moved = psi(induced_action(perm, base)) - base_psi
             if moved.is_zero():
                 continue
-            row = [Fraction(0)] * len(monos)
+            row = [0] * len(monos)
             for key, c in moved.terms.items():
                 row[index[key]] = c
             rows.append(row)
@@ -325,4 +325,4 @@ def relation_from_poly(k, p):
             raise ValueError("unexpected monomial x^%d y^%d" % key)
         coeffs[key] = c
     return RelationVector(
-        k, tuple(coeffs.get(m, Fraction(0)) for m in theta_monomials(k)))
+        k, tuple(coeffs.get(m, 0) for m in theta_monomials(k)))

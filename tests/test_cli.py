@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,20 @@ def test_relations_all_oracles(capsys):
     assert code == 0
     assert out.count("(1, -3)") == 3
     assert "oracles agree" in out
+
+
+# sha256 of the stdout of `relations --max-weight 40 --oracle all`,
+# recorded before coefficients became ints where integral; the text must
+# not change with the coefficient representation
+RELATIONS_40_SHA256 = \
+    "f238243319103f2bab1f8438387b1776882321852eafeb620cd9c2d26121b1bc"
+
+
+def test_relations_output_pinned(capsys):
+    code, out = run_cli(capsys, "relations", "--max-weight", "40",
+                        "--oracle", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_40_SHA256
 
 
 def test_relations_empty_weight(capsys):

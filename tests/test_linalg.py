@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,14 @@ def test_in_span_and_span_equal():
     assert span_equal(a, [[1, 1, 2], [1, -1, 0]])
     assert not span_equal(a, [[1, 0, 0], [0, 1, 0]])
     assert span_equal([], [])
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3"])
+def test_inexact_entry_is_rejected(bad):
+    with pytest.raises(ValueError, match="entry 0 .*" + repr(bad)):
+        rank([[bad, 1], [1, 2]])
+    with pytest.raises(ValueError, match="entry 3 "):
+        Echelon([{0: 1}]).add({0: 1, 3: bad})
 
 
 def test_kernel_mod_image():

@@ -1,7 +1,11 @@
+import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grt2.poly import (
     NCPoly,
@@ -142,3 +146,77 @@ def test_immutability():
     p = Poly3.monomial((1, 2, 3))
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+BAD_COEFFICIENTS = [0.1, "1/3"]
+
+
+@pytest.mark.parametrize("bad", BAD_COEFFICIENTS)
+def test_constructor_rejects_inexact_coefficient(bad):
+    expected = re.escape("(1, 0, 0)") + ".*" + re.escape(repr(bad))
+    with pytest.raises(ValueError, match=expected):
+        Poly3({(0, 0, 1): 1, (1, 0, 0): bad})
+
+
+@pytest.mark.parametrize("bad", BAD_COEFFICIENTS)
+def test_monomial_rejects_inexact_coefficient(bad):
+    with pytest.raises(ValueError, match="'xy'.*" + re.escape(repr(bad))):
+        NCPoly.monomial("xy", bad)
+
+
+@pytest.mark.parametrize("bad", BAD_COEFFICIENTS)
+def test_scale_rejects_inexact_factor(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        Poly2.variable(0).scale(bad)
+
+
+def _add_keys(k1, k2):
+    return tuple(map(operator.add, k1, k2))
+
+
+EXPONENT = st.integers(0, 3)
+RINGS = {
+    Poly2: (st.tuples(EXPONENT, EXPONENT), _add_keys),
+    Poly3: (st.tuples(EXPONENT, EXPONENT, EXPONENT), _add_keys),
+    NCPoly: (st.text("xy", max_size=3), operator.add),
+}
+COEFFICIENTS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+def _reference_sum(*dicts):
+    out = {}
+    for d in dicts:
+        for k, c in d.items():
+            out[k] = out.get(k, Fraction(0)) + c
+    return out
+
+
+@pytest.mark.parametrize("ring", list(RINGS), ids=lambda r: r.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_reference(ring, data):
+    keys, mul_key = RINGS[ring]
+    a = data.draw(st.dictionaries(keys, COEFFICIENTS, max_size=4))
+    b = data.draw(st.dictionaries(keys, COEFFICIENTS, max_size=4))
+    c = data.draw(COEFFICIENTS)
+    fa = {k: Fraction(v) for k, v in a.items()}
+    fb = {k: Fraction(v) for k, v in b.items()}
+    product = {}
+    for k1, c1 in fa.items():
+        for k2, c2 in fb.items():
+            k = mul_key(k1, k2)
+            product[k] = product.get(k, Fraction(0)) + c1 * c2
+    p, q = ring(a), ring(b)
+    cases = [
+        (p, fa),
+        (p + q, _reference_sum(fa, fb)),
+        (p - q, _reference_sum(fa, {k: -v for k, v in fb.items()})),
+        (p * q, product),
+        (p.scale(c), {k: Fraction(c) * v for k, v in fa.items()}),
+    ]
+    for got, want in cases:
+        assert got.terms == {k: v for k, v in want.items() if v}
+        for v in got.terms.values():
+            assert type(v) is (int if v.denominator == 1 else Fraction), v
