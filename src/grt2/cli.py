@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .liealg import bracket_kernel, schneps_check
-from .linalg import span_equal
+from .linalg import Echelon, span_equal
 from .theta import (
     closed_form_dim,
     cohomology_dim,
@@ -91,12 +91,19 @@ def cmd_dims(args):
 # -- relations ---------------------------------------------------------------
 
 
+def _outside_span(vectors, candidates):
+    """The first candidate outside the span of the vectors, or None."""
+    ech = Echelon(vectors)
+    return next((v for v in candidates if ech.add(v) is None), None)
+
+
 def relations_report(weight, oracle):
     """Relation vectors for one weight; with oracle 'all' the three
     derivations are cross-checked for span equality and every vector is
-    run through the symmetry criterion.
+    run through the symmetry criterion.  Each failed check adds one
+    line to the report's failures, with a vector that witnesses it.
     """
-    report = {"weight": weight, "status": "pass", "vectors": {}}
+    report = {"weight": weight, "vectors": {}, "failures": []}
     names = list(ORACLES) if oracle == "all" else [oracle]
     spaces = {name: ORACLES[name](weight) for name in names}
     for name, vecs in spaces.items():
@@ -104,12 +111,23 @@ def relations_report(weight, oracle):
     if oracle == "all":
         base = [v.coeffs for v in spaces["rank"]]
         for name in ("psi", "ihara"):
-            if not span_equal(base, [v.coeffs for v in spaces[name]]):
-                report["status"] = "oracle-disagreement:%s" % name
-        for vecs in spaces.values():
+            other = [v.coeffs for v in spaces[name]]
+            if span_equal(base, other):
+                continue
+            witness = _outside_span(base, other)
+            inside, outside = name, "rank"
+            if witness is None:
+                witness = _outside_span(other, base)
+                inside, outside = "rank", name
+            report["failures"].append(
+                "oracles rank and %s disagree: %s lies in the %s span, "
+                "not in the %s span" % (name, witness, inside, outside))
+        for name, vecs in spaces.items():
             for v in vecs:
                 if not schneps_check(v):
-                    report["status"] = "symmetry-criterion-failed"
+                    report["failures"].append(
+                        "symmetry criterion fails for %s vector %s"
+                        % (name, v.coeffs))
     return report
 
 
@@ -138,9 +156,10 @@ def cmd_relations(args):
             else:
                 body = "(none)"
             print("weight %d  %-5s  %s" % (rep["weight"], name, body))
-        if rep["status"] != "pass":
+        for failure in rep["failures"]:
+            print("weight %d  FAIL: %s" % (rep["weight"], failure))
+        if rep["failures"]:
             failed = True
-            print("weight %d  FAIL: %s" % (rep["weight"], rep["status"]))
         elif args.oracle == "all":
             print("weight %d  oracles agree, symmetry criterion passed"
                   % rep["weight"])

@@ -21,7 +21,6 @@ from __future__ import annotations
 from math import comb
 
 from .linalg import kernel_mod_image
-from .perms import CYCLE_123, CYCLE_132, SWAP_13, plain_action
 from .poly import NCPoly, Poly3, nc_bracket
 from .theta import RelationVector, generator_count, _check_relation_weight
 
@@ -137,12 +136,20 @@ def symmetry_polynomial(k, full_coeffs):
 
 def schneps_check(rv):
     """Whether a relation vector satisfies both symmetry conditions of
-    the depth-2 classification.
+    the depth-2 classification, G + (13).G = 0 and
+    G + (123).G + (132).G = 0, read off the coefficients g of G: the
+    first holds iff g[p,q,r] + g[r,q,p] = 0 on every key of G, as (13)
+    is an involution, and the second iff the sum over the 3-cycle orbit
+    of every key of G vanishes, as each key of the sum lies in the orbit
+    of a key of G and carries that orbit's sum.
     """
     full = extend_coefficients(rv.weight, rv.coeffs)
-    g = symmetry_polynomial(rv.weight, full)
-    first = g + plain_action(SWAP_13, g)
-    if not first.is_zero():
-        return False
-    second = g + plain_action(CYCLE_123, g) + plain_action(CYCLE_132, g)
-    return second.is_zero()
+    g = symmetry_polynomial(rv.weight, full).terms
+    get = g.get
+    for (p, q, r), c in g.items():
+        if c + get((r, q, p), 0):
+            return False
+    for (p, q, r), c in g.items():
+        if c + get((q, r, p), 0) + get((r, p, q), 0):
+            return False
+    return True

@@ -1,19 +1,25 @@
-"""Exact linear algebra over the rationals, on one sparse elimination engine.
+"""Exact linear algebra over the rationals, on one sparse fraction-free
+elimination engine.
 
 :class:`Echelon` holds a row echelon form built one vector at a time.  A
 vector is a sparse mapping from index to value or a dense sequence of
 values, each an int or a Fraction; any other value is a ValueError.
-Pivot rows are sparse dicts of Fractions, keyed by their leading
-(smallest) index and scaled to 1 there.  An incoming vector is reduced
-forward only: the pivot row at its
-current leading index is subtracted until that index carries no pivot,
-and the remainder, if any, becomes a new pivot.  Stored pivots are never
-touched again, so one vector costs work proportional to the pivots it
-meets, not to the number stored.  A tag vector may ride along and
-undergoes the same row operations; a vector that reduces to zero hands
-back its tag, which is then a linear dependency among the tagged inputs.
-One back-substitution at the end gives the reduced row echelon form,
-which is unique, so every basis returned here is canonical.
+Pivot rows are sparse dicts of ints, keyed by their leading (smallest)
+index and made primitive when stored: divided by the gcd of their
+entries and their tag's, with a positive leading entry.  An incoming
+vector and its tag are cleared of denominators once, by the lcm of
+their denominators, and then reduced forward only, without division:
+while a pivot row sits at the vector's leading index, with leading
+entries p (the pivot's) and v (the vector's) and g = gcd(p, v), the
+vector becomes (p/g) * vector - (v/g) * row.  The remainder, if any,
+becomes a new pivot.  Stored pivots are never touched again, so one
+vector costs work proportional to the pivots it meets, not to the
+number stored.  A tag vector may ride along and undergoes the same row
+operations; a vector that reduces to zero hands back its tag divided by
+the factor the vector was multiplied by, which is then a linear
+dependency among the tagged inputs.  One back-substitution at the end
+gives the reduced row echelon form, which is unique, so every basis
+returned here is canonical.
 
 Rank, kernels, row spaces, span tests and the kernel modulo an image are
 thin wrappers over that one engine.
@@ -22,40 +28,52 @@ thin wrappers over that one engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def _axpy(dst, f, src):
-    """dst += f * src for sparse dicts, dropping entries that cancel."""
-    for i, v in src.items():
-        nv = dst.get(i, 0) + f * v
-        if nv:
-            dst[i] = nv
-        else:
-            dst.pop(i, None)
+from math import gcd, lcm
 
 
 def _entries(vec):
     return vec.items() if isinstance(vec, dict) else enumerate(vec)
 
 
-def _fractions(vec):
-    """The nonzero entries of a vector as a sparse dict of Fractions.
-    An entry that is neither an int nor a Fraction, such as a float,
-    raises ValueError naming its index.
+def _integral(vec, tag=()):
+    """The nonzero entries of a vector and of its tag as sparse dicts of
+    ints, both multiplied by m, the lcm of their denominators; returns
+    (vec, tag, m).  An entry that is neither an int nor a Fraction, such
+    as a float, raises ValueError naming its index.
     """
-    out = {}
-    for i, v in _entries(vec):
-        if type(v) is int:
-            if v:
-                out[i] = Fraction(v)
-        elif type(v) is Fraction:
+    sparse = ({}, {})
+    m = None  # stays None while every entry is an int
+    for out, values in zip(sparse, (vec, tag)):
+        for i, v in _entries(values):
+            if type(v) is not int:
+                if type(v) is not Fraction:
+                    raise ValueError("entry %r is not an int or a Fraction: "
+                                     "%r" % (i, v))
+                m = lcm(m or 1, v.denominator)
             if v:
                 out[i] = v
+    if m is None:
+        return sparse + (1,)
+    for out in sparse:
+        for i, v in out.items():
+            out[i] = (v.numerator * (m // v.denominator)
+                      if type(v) is Fraction else v * m)
+    return sparse + (m,)
+
+
+def _combine(dst, a, b, src):
+    """a * dst - b * src for sparse int dicts, dropping entries that
+    cancel; dst is updated in place when a is 1.
+    """
+    if a != 1:
+        dst = {i: a * x for i, x in dst.items()}
+    for i, x in src.items():
+        nx = dst.get(i, 0) - b * x
+        if nx:
+            dst[i] = nx
         else:
-            raise ValueError("entry %r is not an int or a Fraction: %r"
-                             % (i, v))
-    return out
+            del dst[i]
+    return dst
 
 
 class Echelon:
@@ -64,54 +82,68 @@ class Echelon:
     """
 
     def __init__(self, vectors=()):
-        self._pivots = {}  # leading index -> (row, tag)
+        self._pivots = {}  # leading index -> (row, tag), primitive ints
         for vec in vectors:
             self.add(vec)
 
     def __len__(self):
         return len(self._pivots)
 
-    def add(self, vec, tag=None):
+    def add(self, vec, tag=()):
         """Reduce a vector against the stored pivots.
 
         If a nonzero remainder is left it is stored as a new pivot and
         None is returned.  Otherwise the vector lay in the span of the
-        vectors added before, and the reduced tag is returned: a sparse
-        vector d with sum_j d_j * (vector tagged e_j) = 0 when every
-        vector was added with a unit tag ({} when no tag was given).
+        vectors added before, and the reduced tag is returned as a
+        sparse dict of Fractions: a vector d with
+        sum_j d_j * (vector tagged e_j) = 0 when every vector was added
+        with a unit tag ({} when no tag was given).
         """
-        vec = _fractions(vec)
-        tag = _fractions(tag) if tag else {}
+        vec, tag, m = _integral(vec, tag)
         pivots = self._pivots
         while vec:
             lead = min(vec)
+            v = vec[lead]
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = 1 / vec[lead]
-                pivots[lead] = ({i: v * inv for i, v in vec.items()},
-                                {i: v * inv for i, v in tag.items()})
+                g = gcd(*vec.values(), *tag.values())
+                if v < 0:
+                    g = -g
+                if g != 1:
+                    vec = {i: x // g for i, x in vec.items()}
+                    tag = {i: x // g for i, x in tag.items()}
+                pivots[lead] = (vec, tag)
                 return None
             row, row_tag = pivot
-            f = -vec[lead]
-            _axpy(vec, f, row)
-            if row_tag:
-                _axpy(tag, f, row_tag)
-        return tag
+            p = row[lead]
+            g = gcd(p, v)
+            a, b = p // g, v // g
+            vec = _combine(vec, a, b, row)
+            if tag or row_tag:
+                tag = _combine(tag, a, b, row_tag)
+            m *= a
+        return {i: Fraction(x, m) for i, x in tag.items()}
 
     def reduced_rows(self):
         """The reduced row echelon form, by one back-substitution: the
         (leading index, row) pairs in increasing order of leading index,
-        each row zero at every other leading index.
+        each row a sparse dict of Fractions, 1 at its leading index and
+        zero at every other leading index.
         """
         done = {}
         for lead in sorted(self._pivots, reverse=True):
             row = dict(self._pivots[lead][0])
             # rows already done carry zeros at every other leading index,
-            # so each subtraction clears one entry and disturbs no other
+            # so each step clears one entry and disturbs no other; the
+            # leading entry stays positive
             for i in [i for i in row if i != lead and i in done]:
-                _axpy(row, -row[i], done[i])
-            done[lead] = row
-        return [(lead, done[lead]) for lead in sorted(done)]
+                other = done[i]
+                g = gcd(other[i], row[i])
+                row = _combine(row, other[i] // g, row[i] // g, other)
+            g = gcd(*row.values())
+            done[lead] = {i: x // g for i, x in row.items()}
+        return [(lead, {i: Fraction(x, row[lead]) for i, x in row.items()})
+                for lead, row in sorted(done.items())]
 
 
 def _dense(vec, n):
@@ -215,21 +247,15 @@ def kernel_mod_image(gen_cols, image_cols, dim):
 
 def normalize_integer_vector(vec):
     """Scale a rational vector to coprime integers with positive leading
-    nonzero entry.  The zero vector is returned unchanged.
+    nonzero entry.  The zero vector is returned as integer zeros.  An
+    entry that is neither an int nor a Fraction, such as a float, a str
+    or a bool, raises ValueError naming its index.
     """
-    vec = [Fraction(x) for x in vec]
-    nonzero = [x for x in vec if x != 0]
-    if not nonzero:
-        return tuple(int(x) for x in vec)
-    mult = 1
-    for x in nonzero:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    vec = list(vec)
+    ints = _integral(vec)[0]
+    if ints:
+        g = gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        ints = {i: x // g for i, x in ints.items()}
+    return tuple(ints.get(i, 0) for i in range(len(vec)))

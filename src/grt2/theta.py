@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .linalg import (
     kernel_mod_image,
@@ -164,14 +164,26 @@ def closed_form_dim(i, k):
 
 
 @lru_cache(maxsize=None)
+def _psi_scale(n):
+    """D(n), the product of a + 1 over the odd a < n/2: every
+    coefficient of psi on degree n has a denominator dividing it.
+    """
+    return prod(a + 1 for a in range(1, (n + 1) // 2, 2))
+
+
+@lru_cache(maxsize=None)
 def _psi_monomial(a, b):
-    """Image of x^a y^b, returned as a tuple of ((a', b'), coeff) pairs
-    supported on monomials with 2 <= a' < b' both even.
+    """D(a+b) times the image of x^a y^b, returned as a tuple of
+    ((a', b'), coeff) pairs with int coefficients, supported on
+    monomials with 2 <= a' < b' both even.
 
     The diagonal a = b is sent to zero: the swap branch applies to it and
     forces antisymmetry.  For a < b both odd the recursion rewrites the
     monomial through x^(a+1) y^(b-1) and binomial lower-order terms,
-    descending strictly in the odd exponent.
+    descending strictly in the odd exponent, and divides their sum by
+    -(a+1).  Every term keeps the degree a+b, so all carry the same
+    scale D(a+b); its factor a+1 makes the division exact, and a
+    remainder raises ArithmeticError.
     """
     if (a + b) % 2 != 0:
         raise ValueError("only even total degree is in the domain")
@@ -180,7 +192,7 @@ def _psi_monomial(a, b):
     if a > b:
         return tuple((k, -c) for k, c in _psi_monomial(b, a))
     if a % 2 == 0:
-        return (((a, b), 1),)
+        return (((a, b), _psi_scale(a + b)),)
     acc = {}
 
     def add(pairs, mult):
@@ -192,21 +204,38 @@ def _psi_monomial(a, b):
         add(_psi_monomial(j, a + b - j), comb(a + 1, j))
     for j in range(1, a - 1, 2):
         add(_psi_monomial(j, a + b - j), comb(a + 1, j))
-    scale = Fraction(-1, a + 1)
-    return tuple(sorted((k, scale * c) for k, c in acc.items() if c != 0))
+    out = []
+    for key, c in sorted(acc.items()):
+        if c:
+            q, r = divmod(c, a + 1)
+            if r:
+                raise ArithmeticError(
+                    "psi of x^%d y^%d: %d is not divisible by %d"
+                    % (a, b, c, a + 1))
+            out.append((key, -q))
+    return tuple(out)
 
 
 def psi(p):
     """Linear projection of an even two-variable polynomial onto the span
     of x^a y^b with 0 <= a <= b both even.
+
+    The cached images are scaled by D(n) (see :func:`_psi_scale`), so
+    the sum is taken over them and each output monomial of degree n is
+    divided by D(n) once.
     """
-    out = {}
+    acc = {}
     for (a, b), coeff in p.terms.items():
         if (a + b) % 2 != 0:
             raise ValueError(
                 "psi is defined on even polynomials; got x^%d y^%d" % (a, b))
         for key, c in _psi_monomial(a, b):
-            out[key] = out.get(key, 0) + coeff * c
+            acc[key] = acc.get(key, 0) + coeff * c
+    out = {}
+    for key, c in acc.items():
+        d = _psi_scale(key[0] + key[1])
+        q, r = divmod(c, d)
+        out[key] = Fraction(c, d) if r else q
     return Poly2(out)
 
 

@@ -77,6 +77,40 @@ def test_relations_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_40_SHA256
 
 
+def test_oracle_disagreement_prints_witness(capsys, monkeypatch):
+    # a psi oracle that returns a vector outside the true span, which
+    # also fails the symmetry criterion
+    from grt2 import cli
+    from grt2.theta import RelationVector
+
+    monkeypatch.setitem(cli.ORACLES, "psi",
+                        lambda k: [RelationVector(k, (1, 0))])
+    code, out = run_cli(capsys, "relations", "--weight", "12")
+    assert code == 1
+    fails = [ln for ln in out.splitlines() if "FAIL" in ln]
+    assert fails == [
+        "weight 12  FAIL: oracles rank and psi disagree: (1, 0) lies in "
+        "the psi span, not in the rank span",
+        "weight 12  FAIL: symmetry criterion fails for psi vector (1, 0)",
+    ]
+    assert "oracles agree" not in out
+
+
+def test_missing_relation_prints_witness(capsys, monkeypatch):
+    from grt2 import cli
+
+    monkeypatch.setitem(cli.ORACLES, "ihara", lambda k: [])
+    code, out = run_cli(capsys, "relations", "--max-weight", "12")
+    assert code == 1
+    fails = [ln for ln in out.splitlines() if "FAIL" in ln]
+    assert fails == [
+        "weight 12  FAIL: oracles rank and ihara disagree: (1, -3) lies in "
+        "the rank span, not in the ihara span",
+    ]
+    # the weights where the spans agree still pass
+    assert out.count("oracles agree") == 2
+
+
 def test_relations_empty_weight(capsys):
     code, out = run_cli(capsys, "relations", "--weight", "10")
     assert code == 0

@@ -15,6 +15,7 @@ from grt2.liealg import (
     symmetry_polynomial,
 )
 from grt2.linalg import span_equal
+from grt2.perms import CYCLE_123, CYCLE_132, SWAP_13, plain_action
 from grt2.poly import NCPoly, Poly3
 from grt2.theta import (
     RelationVector,
@@ -136,6 +137,31 @@ def test_schneps_scaling_invariance():
     assert scaled.coeffs == (1, -3)  # normalization is projective anyway
 
 
+def test_schneps_check_matches_poly3_definition():
+    # both symmetry conditions written with the S3 action on Poly3;
+    # integer combinations of a relation basis satisfy them, random
+    # integer vectors almost never do
+    rng = random.Random(907)
+    outcomes = set()
+    for k in (12, 16, 24, 30, 36):
+        basis = relation_space(k)
+        m = (k - 4) // 4
+        for trial in range(8):
+            if trial % 2:
+                coeffs = [sum(rng.randint(-5, 5) * v.coeffs[i] for v in basis)
+                          for i in range(m)]
+            else:
+                coeffs = [rng.randint(-5, 5) for _ in range(m)]
+            rv = RelationVector(k, tuple(coeffs))
+            g = symmetry_polynomial(k, extend_coefficients(k, rv.coeffs))
+            expect = (g + plain_action(SWAP_13, g)).is_zero() and (
+                g + plain_action(CYCLE_123, g)
+                + plain_action(CYCLE_132, g)).is_zero()
+            assert schneps_check(rv) == expect, (k, rv)
+            outcomes.add(expect)
+    assert outcomes == {True, False}
+
+
 def test_bracket_kernel_published_values():
     assert bracket_kernel(10) == []
     vecs = bracket_kernel(12)
@@ -163,10 +189,10 @@ def test_encoded_generator_degree():
     assert enc.degrees() == [10]
 
 
-def test_oracles_agree_weights_30_to_72():
+def test_oracles_agree_weights_30_to_94():
     # a wider range than the published one; the symmetry criterion is
     # linear, so checking one basis of the common span covers all three
-    for k in range(30, 73, 2):
+    for k in range(30, 95, 2):
         vecs = relation_space(k)
         base = [[Fraction(c) for c in v.coeffs] for v in vecs]
         assert len(base) == relation_count(k), k

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,12 @@ def test_normalize_integer_vector():
     assert normalize_integer_vector([Fraction(0), Fraction(-5, 7)]) == (0, 1)
 
 
+@pytest.mark.parametrize("bad", [0.5, "2", True])
+def test_normalize_integer_vector_rejects_inexact_entry(bad):
+    with pytest.raises(ValueError, match="entry 1 .*" + repr(bad)):
+        normalize_integer_vector([1, bad])
+
+
 def test_row_space_basis():
     rows = [[1, 1, 0], [2, 2, 0], [0, 0, 1]]
     basis = row_space_basis(rows)
@@ -98,20 +105,28 @@ def test_sparse_rank_matches_dense():
 # -- properties checked against definitions written here ---------------------
 
 
-def reference_rank(rows):
-    """Textbook dense Gaussian elimination, independent of grt2.linalg."""
+def reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan elimination over Fractions, independent of
+    grt2.linalg: the nonzero rows of the reduced row echelon form.
+    """
     mat = [[Fraction(x) for x in row] for row in rows]
     r = 0
-    for c in range(len(mat[0]) if mat else 0):
+    for c in range(ncols):
         pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][c] / mat[r][c]
-            mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         r += 1
-    return r
+    return mat[:r]
+
+
+def reference_rank(rows):
+    return len(reference_rref(rows, len(rows[0]) if rows else 0))
 
 
 def transpose(rows, ncols):
@@ -232,3 +247,34 @@ def test_echelon_tags_give_dependencies():
     assert len(ech) == 3
     assert ech.add({}) == {}
     assert [lead for lead, _ in ech.reduced_rows()] == [0, 1, 5]
+
+
+SPARSE_ENTRY = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+NCOLS = 8
+SPARSE_VECTORS = st.lists(
+    st.dictionaries(st.integers(0, NCOLS - 1), SPARSE_ENTRY, max_size=4),
+    max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPARSE_VECTORS)
+def test_echelon_is_fraction_free(vectors):
+    dense = [[v.get(c, 0) for c in range(NCOLS)] for v in vectors]
+    ech = Echelon()
+    for j, vec in enumerate(vectors):
+        dep = ech.add(vec, {j: 1})
+        if dep is not None:
+            assert dep[j] == 1
+            coeffs = [dep.get(i, 0) for i in range(j + 1)]
+            assert combination(coeffs, dense[:j + 1], NCOLS) == [0] * NCOLS
+    for lead, (row, tag) in ech._pivots.items():
+        values = list(row.values()) + list(tag.values())
+        assert all(type(x) is int for x in values)
+        assert lead == min(row) and row[lead] > 0
+        assert gcd(*values) == 1
+    reduced = ech.reduced_rows()
+    assert all(type(x) is Fraction for _, row in reduced for x in row.values())
+    assert [[row.get(c, 0) for c in range(NCOLS)] for _, row in reduced] \
+        == reference_rref(dense, NCOLS)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -7,6 +9,7 @@ from grt2.linalg import in_span, span_equal
 from grt2.poly import Poly2, Poly3
 from grt2.theta import (
     _d0_columns,
+    _psi_monomial,
     RelationVector,
     ThetaElement,
     closed_form_dim,
@@ -167,6 +170,41 @@ def test_psi_is_projection_onto_normal_span():
         assert psi(image) == image
 
 
+@lru_cache(maxsize=None)
+def reference_psi_monomial(a, b):
+    """The projection of x^a y^b by the recursion in Fractions, as a
+    dict, written here independently of the scaled cache in grt2.theta.
+    """
+    if a == 0 or b == 0 or a == b:
+        out = {}
+    elif a > b:
+        out = {k: -c for k, c in reference_psi_monomial(b, a).items()}
+    elif a % 2 == 0:
+        out = {(a, b): Fraction(1)}
+    else:
+        acc = {}
+        terms = [(a + 1, b - 1, 1)]
+        terms += [(j, a + b - j, comb(a + 1, j)) for j in range(2, a + 2, 2)]
+        terms += [(j, a + b - j, comb(a + 1, j)) for j in range(1, a - 1, 2)]
+        for u, v, mult in terms:
+            for k, c in reference_psi_monomial(u, v).items():
+                acc[k] = acc.get(k, 0) + mult * c
+        out = {k: Fraction(-c, a + 1) for k, c in acc.items() if c}
+    return out
+
+
+def test_psi_matches_fraction_recursion_through_degree_40():
+    for n in range(0, 41, 2):
+        for a in range(n + 1):
+            image = psi(Poly2.monomial((a, n - a)))
+            assert image == Poly2(reference_psi_monomial(a, n - a)), (a, n)
+            assert psi(Poly2.monomial((a, n - a), Fraction(3, 7))) == \
+                image.scale(Fraction(3, 7))
+    for a in range(41):
+        for b in range(a % 2, 41 - a, 2):
+            assert all(type(c) is int for _, c in _psi_monomial(a, b)), (a, b)
+
+
 def test_psi_inverts_inclusion():
     for degree in range(2, 27, 2):
         check_psi_inverse(degree)
@@ -195,6 +233,12 @@ def test_relation_vector_normalization():
         RelationVector(12, (1, 2, 3))
     with pytest.raises(ValueError):
         RelationVector(11, (1,))
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+def test_relation_vector_rejects_inexact_coefficient(bad):
+    with pytest.raises(ValueError, match="entry 0 .*" + repr(bad)):
+        RelationVector(12, (bad, Fraction(1, 3)))
 
 
 def test_relation_space_small_weights():
