@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .liealg import bracket_kernel, schneps_check
@@ -227,7 +228,8 @@ def check_bowtie(_cap):
     diff = bowtie_difference(3, 5)
     ok = set(level2.terms) == set(diff.terms)
     if ok:
-        ratios = {level2.terms[c] / diff.terms[c] for c in diff.terms}
+        ratios = {Fraction(level2.terms[c], diff.terms[c])
+                  for c in diff.terms}
         ok = len(ratios) == 1 and 0 not in ratios
     results.append(
         ("level-2 part of [w3,w5] is a nonzero multiple of the "
@@ -352,11 +354,22 @@ EXPORT_FORMATS = {
     "dims": ("json", "csv"),
     "graph": ("graphtext",),
 }
+# The options each export reads besides --out and --format.
+EXPORT_OPTIONS = {
+    "relations": ("weight",),
+    "dims": ("max_weight", "degree"),
+    "graph": ("graph",),
+}
 
 
 def cmd_export(args):
     from .graphs.core import graph_to_text
 
+    for what, options in EXPORT_OPTIONS.items():
+        given = [dest for dest in options if getattr(args, dest) is not None]
+        if what != args.what and given:
+            raise UsageError("export --what %s takes no --%s"
+                             % (args.what, given[0].replace("_", "-")))
     formats = EXPORT_FORMATS[args.what]
     fmt = args.format or formats[0]
     if fmt not in formats:

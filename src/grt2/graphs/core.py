@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from ..poly import _SparsePoly
 
 
 @dataclass(frozen=True)
@@ -56,31 +57,41 @@ class Graph:
         return len(set(self.edges)) < len(self.edges)
 
     def is_connected(self):
-        return _connected(self.n, self.edges, set(range(self.n)))
+        return components(self, (False,) * self.n)[2] <= 1
 
     def is_internally_connected(self):
-        keep = {v for v in range(self.n) if not self.ext[v]}
-        inner = [e for e in self.edges if e[0] in keep and e[1] in keep]
-        return _connected(self.n, inner, keep)
+        return components(self, self.ext)[2] <= 1
 
 
-def _connected(n, edges, keep):
-    if not keep:
-        return True
-    adj = {v: [] for v in keep}
-    for u, v in edges:
-        if u in keep and v in keep:
-            adj[u].append(v)
-            adj[v].append(u)
-    start = next(iter(keep))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(keep)
+def components(g, skip):
+    """Union-find over the subgraph left when every vertex v with
+    ``skip[v]`` true is deleted; ``components(g, g.ext)`` labels the
+    internal part.
+
+    Returns the component root of every kept vertex (None for the
+    others), the number of edges between kept vertices and the number
+    of components.
+    """
+    root = [None if skip[v] else v for v in range(g.n)]
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    inner = 0
+    count = g.n - root.count(None)
+    for u, v in g.edges:
+        if root[u] is None or root[v] is None:
+            continue
+        inner += 1
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            count -= 1
+    return ([None if r is None else find(v) for v, r in enumerate(root)],
+            inner, count)
 
 
 def icg_check(g):
@@ -156,55 +167,16 @@ class GraphClass:
         return (self.n, self.ext, self.edges)
 
 
-class GraphSum:
-    """A finite rational linear combination of graph classes."""
+class GraphSum(_SparsePoly):
+    """A finite rational linear combination of graph classes, with the
+    exact coefficients and the arithmetic of the polynomial sums but no
+    product.
+    """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for cls, coeff in items:
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                data[cls] = data.get(cls, Fraction(0)) + coeff
-        self.terms = {k: v for k, v in data.items() if v != 0}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GraphSum) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for cls, coeff in other.terms.items():
-            out[cls] = out.get(cls, Fraction(0)) + coeff
-        return GraphSum(out)
-
-    def __neg__(self):
-        return GraphSum({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return GraphSum({k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+    __slots__ = ()
+    # the base's own method, bound here because perfbench/tracer.py
+    # wraps the __add__ it finds in this class's namespace
+    __add__ = _SparsePoly.__add__
 
     def restrict(self, predicate):
         """Sub-sum of the terms whose class satisfies the predicate."""

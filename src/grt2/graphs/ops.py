@@ -10,42 +10,13 @@ from ..poly import Poly3
 from ..theta import ThetaElement
 from .build import theta_graph, wheel
 from .canon import automorphisms, canonical_sum, canonicalize
-from .core import Graph, GraphSum, gc2_degree, icg_check
-
-
-def _internal_components(g):
-    """Union-find over the subgraph on internal vertices.
-
-    Returns the component root of every vertex (None for external
-    vertices), the number of internal edges and the number of
-    components.
-    """
-    root = [None if g.ext[v] else v for v in range(g.n)]
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    inner = 0
-    components = g.n - sum(g.ext)
-    for u, v in g.edges:
-        if root[u] is None or root[v] is None:
-            continue
-        inner += 1
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            root[ru] = rv
-            components -= 1
-    return ([None if g.ext[v] else find(v) for v in range(g.n)], inner,
-            components)
+from .core import Graph, GraphSum, components, gc2_degree, icg_check
 
 
 def internal_loop_count(g):
     """First Betti number of the subgraph on internal vertices."""
-    _, inner, components = _internal_components(g)
-    return inner - (g.n - sum(g.ext)) + components
+    _, inner, count = components(g, g.ext)
+    return inner - (g.n - sum(g.ext)) + count
 
 
 def filtration_value(g):
@@ -59,26 +30,8 @@ def is_one_vertex_irreducible(g):
     Deleting a vertex from a graph on at most two vertices leaves a
     trivially connected remainder.
     """
-    for v in range(g.n):
-        keep = set(range(g.n)) - {v}
-        if len(keep) <= 1:
-            continue
-        adj = {u: [] for u in keep}
-        for a, b in g.edges:
-            if a in keep and b in keep:
-                adj[a].append(b)
-                adj[b].append(a)
-        start = next(iter(keep))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(keep):
-            return False
-    return True
+    return all(components(g, [u == v for u in range(g.n)])[2] <= 1
+               for v in range(g.n))
 
 
 # -- vertex splitting --------------------------------------------------------
@@ -140,12 +93,12 @@ def icg_differential_raw(g, loop_preserving=True):
     exactly when ``c`` is the number of components, and it then has
     ``a - c`` more loops than the input.
     """
-    root, _, components = _internal_components(g)
+    root, _, count = components(g, g.ext)
 
     def kept():
         for v in range(g.n):
             if not g.ext[v]:
-                if components == 1:
+                if count == 1:
                     for moved in _moved_sets(g, v):
                         yield _split(g, v, moved), 1
                 continue
@@ -158,14 +111,14 @@ def icg_differential_raw(g, loop_preserving=True):
             # a kept split moves one edge into each component and, when
             # loops are preserved, no further internal edge; the rest of
             # its at least two edges run to other external vertices
-            if loop_preserving and components + sum(
+            if loop_preserving and count + sum(
                     r is None for r in reach.values()) < 2:
                 continue
             for moved in _moved_sets(g, v):
                 hit = [reach[i] for i in moved if reach[i] is not None]
                 c = len(set(hit))
-                if c == components and not (loop_preserving
-                                            and len(hit) != c):
+                if c == count and not (loop_preserving
+                                       and len(hit) != c):
                     yield _split(g, v, moved), 1
 
     terms = {}

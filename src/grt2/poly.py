@@ -9,6 +9,9 @@ Three rings are provided:
 * :class:`NCPoly` -- polynomials in two noncommuting letters ``x`` and
   ``y``; words are plain strings over the alphabet ``xy``.
 
+The sparse base they share also carries the graph sums of
+:mod:`grt2.graphs.core`, which add and scale but have no product.
+
 A coefficient is stored as an ``int`` when it is integral and as a
 :class:`fractions.Fraction` only when it is not, so integer data never
 pays for rational arithmetic; any other value, such as a ``float`` or a
@@ -35,9 +38,12 @@ def _exact(c):
 
 
 class _SparsePoly:
-    """Shared arithmetic for the dict-backed polynomial types."""
+    """Shared arithmetic for the dict-backed sums; a ring subclass gives
+    ``_mul_key``, the key of a product of two keys.
+    """
 
     __slots__ = ("terms",)
+    _mul_key = None
 
     def __init__(self, terms=None):
         out = {}
@@ -108,7 +114,7 @@ class _SparsePoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if type(other) is not type(self):
+        if type(other) is not type(self) or self._mul_key is None:
             return NotImplemented
         out = {}
         for k1, c1 in self.terms.items():

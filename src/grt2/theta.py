@@ -326,11 +326,10 @@ def relation_space_psi(k):
         if (u + v) % 2 != 0:
             continue
         base = Poly2.monomial((u, v))
-        base_psi = psi(base)
         for perm in S3:
             if perm == IDENTITY:
                 continue
-            moved = psi(induced_action(perm, base)) - base_psi
+            moved = psi(induced_action(perm, base) - base)
             if moved.is_zero():
                 continue
             row = [0] * len(monos)

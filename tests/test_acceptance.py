@@ -183,7 +183,8 @@ def test_criterion_6_graph_identities():
     diff = bowtie_difference(3, 5)
     ok = ok and set(level2.terms) == set(diff.terms)
     if ok:
-        ratios = {level2.terms[c] / diff.terms[c] for c in diff.terms}
+        ratios = {Fraction(level2.terms[c], diff.terms[c])
+                  for c in diff.terms}
         ok = len(ratios) == 1 and 0 not in ratios
     report(6, "splitting, filtration and bowtie identities hold on the "
               "graph side", ok)

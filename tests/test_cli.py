@@ -77,6 +77,40 @@ def test_relations_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_40_SHA256
 
 
+# sha256 of the stdout of every `graphs --check` suite at the default
+# cap and, where the suite takes one, at `--size-cap 9`, recorded while
+# graph-sum coefficients were still `Fraction`s; the text must not
+# change with the coefficient representation or the connectivity code
+GRAPHS_SHA256 = {
+    ("d-squared", None):
+        "fb7a7ea1dea33cff3d26254af193a14958262c28b01c6aa2dd5835ee618e5278",
+    ("encoding", None):
+        "2e0223c0574b7030007dea1692e314fae5467b4b4eb2d52664b8ac7bcbfdcd18",
+    ("bowtie", None):
+        "aed8da31f36fc400750846c1180009b10c1cbd7ec23ed4827240df1aa74256d1",
+    ("filtration", None):
+        "1f2047aedca838b0135dd2775b2ac2fb566b3ccc55c3fa0999e71049edfa10c4",
+    ("theta-identity", None):
+        "a4eb73dbaae1922210b5671898c4290373981c748834d6c21c7c20e652a0489e",
+    ("d-squared", "9"):
+        "5a991beb333926abb57e7ab20b18a5006a8cbe2d6efd8fc5c346b6e50d7a208f",
+    ("encoding", "9"):
+        "a5a933f7db3018e75dbb7eda6e327cab4df3dc0acaed300526498ca10829f27a",
+    ("filtration", "9"):
+        "736fccdd09d126ce8a1a156f3eb81c5ce70e3107119690330cf1e8347153736e",
+}
+
+
+def test_graphs_output_pinned(capsys):
+    for (check, cap), digest in GRAPHS_SHA256.items():
+        argv = ["graphs", "--check", check]
+        if cap is not None:
+            argv += ["--size-cap", cap]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_oracle_disagreement_prints_witness(capsys, monkeypatch):
     # a psi oracle that returns a vector outside the true span, which
     # also fails the symmetry criterion
@@ -280,6 +314,24 @@ def test_export_bad_graph_spec_is_usage_error(tmp_path, capsys, spec):
     assert code == 2
     assert captured.out == ""
     assert repr(spec) in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("what, argv, flag", [
+    ("relations", ["--weight", "8", "--max-weight", "3", "--degree", "1"],
+     "--max-weight"),
+    ("dims", ["--max-weight", "8", "--graph", "wheel:3"], "--graph"),
+    ("graph", ["--graph", "wheel:3", "--weight", "8"], "--weight"),
+], ids=["relations", "dims", "graph"])
+def test_export_foreign_flag_is_usage_error(tmp_path, capsys, what, argv,
+                                            flag):
+    out_path = tmp_path / "out"
+    code = main(["export", "--what", what, "--out", str(out_path)] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: export --what %s takes no %s\n" % (
+        what, flag)
     assert not out_path.exists()
 
 

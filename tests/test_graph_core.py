@@ -109,6 +109,23 @@ def test_graphsum_arithmetic():
     assert len(s) == 1
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3"])
+def test_graphsum_rejects_inexact_coefficient(bad):
+    cls, sign = canonicalize(wheel(3))
+    expected = re.escape(repr(cls)) + ".*" + re.escape(repr(bad))
+    with pytest.raises(ValueError, match=expected):
+        GraphSum({cls: bad})
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        GraphSum({cls: sign}).scale(bad)
+
+
+def test_graphsum_has_no_product():
+    s = GraphSum({canonicalize(wheel(3))[0]: 1})
+    for left, right in ((s, s), (s, GraphSum.zero()), (GraphSum.zero(), s)):
+        with pytest.raises(TypeError):
+            left * right
+
+
 def test_graphtext_round_trip():
     for g in (wheel(5), theta_graph(1, (2, 4, 0)), figure_eight(2, 4)):
         text = graph_to_text(g)

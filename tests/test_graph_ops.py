@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grt2.graphs import build
-from grt2.graphs.build import figure_eight, theta_graph, wheel
+from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
 from grt2.graphs.core import Graph, GraphSum
 from grt2.graphs.ops import (
@@ -33,22 +32,6 @@ from grt2.graphs.ops import (
 from grt2.poly import Poly3
 from grt2.theta import ThetaElement, d0_theta
 from grt2.perms import sign_coinvariant_normal_form
-
-
-def theta_shapes(grade, max_weight):
-    maxdeg = max_weight - (2 - grade)
-    shapes = set()
-    for c1 in range(maxdeg + 1):
-        for c2 in range(maxdeg + 1 - c1):
-            for c3 in range(maxdeg + 1 - c1 - c2):
-                total = c1 + c2 + c3
-                if total < 1 or total > maxdeg:
-                    continue
-                key = tuple(sorted((c1, c2, c3), reverse=True))
-                if sum(1 for c in key if c == 0) > 1:
-                    continue
-                shapes.add(key)
-    return sorted(shapes)
 
 
 def test_internal_loop_count():
@@ -91,7 +74,7 @@ def test_d_squared_and_bridge_through_weight_12():
     # d0^2 = 0 and encode(d0 g) = d0(encode g) on every grade-0 and
     # grade-1 theta shape of weight at most 12
     for grade in (0, 1):
-        for counts in build.theta_shapes(grade, 12):
+        for counts in theta_shapes(grade, 12):
             g = theta_graph(grade, counts)
             first = icg_differential_raw(g)
             assert icg_differential(first).is_zero(), (grade, counts)
@@ -271,7 +254,7 @@ def test_bracket_level2_is_bowtie_difference():
     level2 = br.restrict(lambda c: filtration_value(c.graph) == 2)
     diff = bowtie_difference(3, 5)
     assert set(level2.terms) == set(diff.terms)
-    ratios = {level2.terms[c] / diff.terms[c] for c in diff.terms}
+    ratios = {Fraction(level2.terms[c], diff.terms[c]) for c in diff.terms}
     assert len(ratios) == 1
     assert 0 not in ratios
 
