@@ -12,7 +12,6 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -59,11 +58,17 @@ def dims_rows(max_weight, degree):
     return rows
 
 
+def _json_text(payload):
+    # json is imported here, not at start-up: only two outputs use it
+    import json
+
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def format_dims(rows, fmt):
     """The dimension table as text, csv or json."""
     if fmt == "json":
-        return json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
-                          indent=2, sort_keys=True) + "\n"
+        return _json_text({"schema": SCHEMA_VERSION, "rows": rows})
     if fmt == "csv":
         lines = ["weight,degree,dim,closed_form,match"]
         lines.extend("%d,%d,%d,%d,%s" % (
@@ -387,7 +392,7 @@ def cmd_export(args):
                 "vectors": [[[int(c), 1] for c in v.coeffs]
                             for v in vectors],
             }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = _json_text(payload)
         elif args.what == "dims":
             if args.max_weight is None:
                 raise UsageError("export dims needs --max-weight")

@@ -6,71 +6,145 @@ pointwise and permute internal vertices within their refinement
 classes, for the ones minimizing the lower-triangular adjacency string.
 It keeps every minimizing relabeling: two of them differ by an
 automorphism, and every automorphism arises this way.  If two of them
-induce edge permutations of opposite parity the class is zero.
+induce edge permutations of opposite parity the class is zero, and the
+search stops at the first such pair.
 
-Adjacency rows are packed into integers (slot t occupies bit 63 - t, so
-integer order is lexicographic order on rows).  The champion is stored
-row by row; when a branch improves on it at some slot, the champion is
-truncated there and deeper rows are filled in by the first branch that
-reaches them, which keeps every comparison exact during the search.
+Adjacency rows are packed into integers (on n vertices slot t occupies
+bit n - 1 - t, so integer order is lexicographic order on rows).  The
+champion is stored row by row; when a branch improves on it at some
+slot, the champion is truncated there and deeper rows are filled in by
+the first branch that reaches them, which keeps every comparison exact
+during the search.
+
+Graphs are immutable and hashable, so each search result is memoized
+per graph in a bounded table.  A search that finds a nonzero class also
+records the result for its canonical representative, which later
+operations on the class (``cls.graph``) would otherwise search again.
 """
 
 from __future__ import annotations
 
-from .core import GraphClass, gc2_check, icg_check
+from .core import Graph, GraphClass, gc2_check, icg_check
+
+# Search results kept, oldest dropped first once the table is full.
+MEMO_SIZE = 1024
+_memo = {}
+_ZERO = (None, 0, None)
+
+
+class _OddAutomorphism(Exception):
+    """Two minimizing labelings induce edge permutations of opposite
+    parity, so some automorphism is odd and the class is zero.
+    """
 
 
 def refine_colors(n, ext, neighbors):
     """Iterated neighborhood refinement.  External vertices get unique
     colors tied to their index, so every admissible relabeling fixes
-    them; internal vertices start from their valence.
+    them; internal vertices start from their valence.  Each round ranks
+    the signatures (own color, then the sorted neighbor colors) among
+    the round's distinct signatures; refinement stops when a round
+    splits no class.
     """
-    colors = []
-    for v in range(n):
-        if ext[v]:
-            colors.append((0, v))
-        else:
-            colors.append((1, len(neighbors[v])))
-    palette = sorted(set(colors))
-    colors = [palette.index(c) for c in colors]
-    while True:
-        sigs = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in neighbors[v])
-            sigs.append((colors[v], tuple(neigh)))
-        palette = sorted(set(sigs))
-        new = [palette.index(s) for s in sigs]
-        if len(palette) == len(set(colors)):
-            return new
-        colors = new
+    colors = [(0, v) if ext[v] else (1, len(neighbors[v]))
+              for v in range(n)]
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [rank[c] for c in colors]
+    classes = len(rank)
+    # Equal colors mean equal valence, so the flat signatures order like
+    # (color, sorted neighbor tuple).  A coloring that a round does not
+    # split, a discrete one included, ranks to itself.
+    while classes < n:
+        get = colors.__getitem__
+        sigs = [(c, *sorted(map(get, nb)))
+                for c, nb in zip(colors, neighbors)]
+        rank = dict.fromkeys(sorted(set(sigs)))
+        if len(rank) == classes:
+            break
+        for i, sig in enumerate(rank):
+            rank[sig] = i
+        colors = [rank[sig] for sig in sigs]
+        classes = len(rank)
+    return colors
 
 
-def _edge_sort_parity(pairs):
-    """Parity (+1/-1) of the permutation sorting a list of distinct pairs."""
-    inv = 0
-    m = len(pairs)
-    for i in range(m):
-        pi = pairs[i]
-        for j in range(i + 1, m):
-            if pi > pairs[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+def _parity(perm):
+    """Parity (+1/-1) of a permutation of range(m), from its cycles."""
+    seen = [False] * len(perm)
+    flips = 0
+    for i in range(len(perm)):
+        j = perm[i]
+        seen[i] = True
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            flips += 1
+    return -1 if flips % 2 else 1
+
+
+def _inverse(labeling):
+    """The vertex -> slot map of a labeling taking slot s to vertex
+    ``labeling[s]``."""
+    slot = [0] * len(labeling)
+    for s, v in enumerate(labeling):
+        slot[v] = s
+    return slot
+
+
+def _relabeled_edges(pairs, labeling):
+    """The edges, in their order, under the labeling."""
+    slot = _inverse(labeling)
+    out = []
+    for u, v in pairs:
+        a, b = slot[u], slot[v]
+        out.append((a, b) if a < b else (b, a))
+    return out
 
 
 def _search(g):
-    """The canonical search on g.  Returns (canonical_edges, sign,
-    slot_maps): canonical_edges is a sorted tuple of vertex pairs and
-    slot_maps holds, for every minimizing labeling, the list taking each
-    vertex of g to its slot.  When the class is zero the result is
-    (None, 0, None).
+    """The canonical search on g, memoized.  Returns (canonical_edges,
+    sign, labelings): canonical_edges is a sorted tuple of vertex pairs
+    and labelings holds every minimizing labeling as the tuple taking
+    each slot to a vertex of g, in increasing order.  When the class is
+    zero the result is (None, 0, None).
     """
-    n, ext = g.n, g.ext
-    if n > 64:
-        raise ValueError("canonical search supports at most 64 vertices")
-    pairs = g.edges
+    result = _memo.get(g)
+    if result is None:
+        result = _label(g)
+        _remember(g, result)
+        edges, sign, labelings = result
+        if sign:
+            canon = Graph(g.n, g.ext, edges)
+            if canon not in _memo:
+                _remember(canon, _canonical_result(edges, labelings))
+    return result
+
+
+def _remember(g, result):
+    if len(_memo) >= MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    _memo[g] = result
+
+
+def _canonical_result(edges, labelings):
+    """The search result of the canonical representative, read off the
+    result of a graph with these minimizing labelings.  Slot y of the
+    first labeling is vertex y of the representative, so each labeling
+    carries over through the first one's inverse; the first becomes the
+    identity, and the edge order of the representative is sorted, so
+    its sign is +1.
+    """
+    slot = _inverse(labelings[0])
+    moved = sorted(tuple(slot[v] for v in lab) for lab in labelings)
+    return edges, 1, tuple(moved)
+
+
+def _label(g):
+    """The uncached search behind :func:`_search`."""
+    n, ext, pairs = g.n, g.ext, g.edges
     if len(set(pairs)) < len(pairs):
         # swapping two parallel edges is an odd automorphism
-        return None, 0, None
+        return _ZERO
 
     neighbors = [[] for _ in range(n)]
     for u, v in pairs:
@@ -81,79 +155,84 @@ def _search(g):
 
     # Internal slots, in increasing index order, are filled class by
     # class in color order; external slots are pinned to themselves.
-    internal = sorted(v for v in range(n) if not ext[v])
+    internal = [v for v in range(n) if not ext[v]]
     by_color = {}
     for v in internal:
         by_color.setdefault(colors[v], []).append(v)
-    slot_candidates = {}
-    pos = 0
+    candidates = [(s,) for s in range(n)]
+    slots = iter(internal)
     for color in sorted(by_color):
         members = by_color[color]
         for _ in members:
-            slot_candidates[internal[pos]] = members
-            pos += 1
+            candidates[next(slots)] = members
+    bits = [1 << (n - 1 - s) for s in range(n)]
 
-    assigned = [-1] * n     # slot -> old vertex
+    assigned = [0] * n      # slot -> old vertex
     used = [False] * n
     slotmask = [0] * n      # per old vertex: bits of its assigned neighbors
-    best_rows = [None] * n  # None marks a not-yet-defined champion row
-    best_labelings = []
+    best_rows = [0] * n     # the champion; rows from ``depth`` on undefined
+    depth = 0
+    labelings = []
+    champion = {}           # relabeled edge -> position, for labelings[0]
 
+    # Only the free candidates with the least row can extend to a
+    # minimizing labeling, so only they are tried, in increasing order:
+    # the minimizers are found in increasing order of their tuples.
     def descend(s):
+        nonlocal depth
         if s == n:
-            best_labelings.append(list(assigned))
+            if labelings:
+                # a tie: the labelings differ by an automorphism, which
+                # moves each edge to the champion's edge of the same pair
+                if not champion:
+                    for i, e in enumerate(
+                            _relabeled_edges(pairs, labelings[0])):
+                        champion[e] = i
+                if _parity([champion[e] for e in
+                            _relabeled_edges(pairs, assigned)]) < 0:
+                    raise _OddAutomorphism
+            labelings.append(tuple(assigned))
             return
-        candidates = (s,) if ext[s] else slot_candidates[s]
-        for v in candidates:
-            if used[v]:
-                continue
-            new_row = slotmask[v]
+        free = candidates[s]
+        if len(free) == 1:
+            row = slotmask[free[0]]
+        else:
+            free = [v for v in free if not used[v]]
+            row = min([slotmask[v] for v in free])
+        if s < depth:
             ref = best_rows[s]
-            if ref is not None and new_row > ref:
+            if row > ref:
+                return
+            if row < ref:
+                best_rows[s] = row
+                depth = s + 1
+                labelings.clear()
+                champion.clear()
+        else:
+            best_rows[s] = row
+            depth = s + 1
+        bit = bits[s]
+        for v in free:
+            if slotmask[v] != row:
                 continue
-            if ref is None or new_row < ref:
-                best_rows[s] = new_row
-                for t in range(s + 1, n):
-                    best_rows[t] = None
-                best_labelings.clear()
             assigned[s] = v
             used[v] = True
-            bit = 1 << (63 - s)
             for u in neighbors[v]:
                 slotmask[u] |= bit
             descend(s + 1)
             for u in neighbors[v]:
-                slotmask[u] &= ~bit
+                slotmask[u] ^= bit
             used[v] = False
-            assigned[s] = -1
 
-    descend(0)
+    try:
+        descend(0)
+    except _OddAutomorphism:
+        return _ZERO
 
-    canon_edges = []
-    for s in range(n):
-        row = best_rows[s]
-        for t in range(s):
-            if row & (1 << (63 - t)):
-                canon_edges.append((t, s))
-    canon_edges = tuple(sorted(canon_edges))
-
-    sign = 0
-    slot_maps = []
-    for labeling in best_labelings:
-        perm = [0] * n
-        for slot, old in enumerate(labeling):
-            perm[old] = slot
-        slot_maps.append(perm)
-        mapped = []
-        for u, v in pairs:
-            a, b = perm[u], perm[v]
-            mapped.append((a, b) if a < b else (b, a))
-        parity = _edge_sort_parity(mapped)
-        if sign == 0:
-            sign = parity
-        elif sign != parity:
-            return None, 0, None
-    return canon_edges, sign, slot_maps
+    mapped = _relabeled_edges(pairs, labelings[0])
+    order = sorted(range(len(mapped)), key=mapped.__getitem__)
+    return (tuple([mapped[i] for i in order]), _parity(order),
+            tuple(labelings))
 
 
 def canonicalize(g, check=True):
@@ -184,13 +263,11 @@ def automorphisms(g):
     Minimizing labelings l_0, l_i of the search give the automorphism
     l_0 o l_i^-1, and each automorphism comes from exactly one l_i.
     """
-    _, sign, slot_maps = _search(g)
+    _, sign, labelings = _search(g)
     if sign == 0:
         return None
-    first = [0] * g.n  # l_0: slot -> vertex
-    for v, slot in enumerate(slot_maps[0]):
-        first[slot] = v
-    return [tuple(first[slot] for slot in perm) for perm in slot_maps]
+    first = labelings[0]
+    return [tuple(first[s] for s in _inverse(lab)) for lab in labelings]
 
 
 def canonical_sum(pairs, terms):

@@ -2,13 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..poly import _SparsePoly
 
 
-@dataclass(frozen=True)
-class Graph:
+class _LabeledGraph:
+    """Value semantics shared by :class:`Graph` and :class:`GraphClass`:
+    immutable, and equal and hashed by ``(n, ext, edges)`` within one
+    exact type.
+    """
+
+    __slots__ = ("n", "ext", "edges")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s instances are immutable"
+                             % type(self).__name__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n == other.n and self.ext == other.ext
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.ext, self.edges))
+
+    def __repr__(self):
+        return "%s(n=%r, ext=%r, edges=%r)" % (
+            type(self).__name__, self.n, self.ext, self.edges)
+
+
+class Graph(_LabeledGraph):
     """An unoriented graph with a linear order on its edges.
 
     ``ext`` flags which vertices are external; external vertices keep
@@ -17,20 +40,20 @@ class Graph:
     the edge order.
     """
 
-    n: int
-    ext: tuple
-    edges: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.ext) != self.n:
+    def __init__(self, n, ext, edges):
+        if len(ext) != n:
             raise ValueError("ext flags must cover every vertex")
         norm = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError("simple loops are not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge endpoint out of range")
             norm.append((u, v) if u < v else (v, u))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ext", ext)
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -46,6 +69,16 @@ class Graph:
 
     def incident_edges(self, v):
         return [i for i, (u, w) in enumerate(self.edges) if v in (u, w)]
+
+    def incidence(self):
+        """The edge positions at every vertex, in edge order; one pass
+        instead of one ``incident_edges`` scan per vertex.
+        """
+        out = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            out[u].append(i)
+            out[v].append(i)
+        return out
 
     def external_vertices(self):
         return [v for v in range(self.n) if self.ext[v]]
@@ -149,15 +182,17 @@ def weight(g):
     return sum(1 for u, v in g.edges if u in ext or v in ext)
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(_LabeledGraph):
     """A canonical representative of a graph modulo internal relabeling
     and edge reordering.  Instances are produced by ``canonicalize``.
     """
 
-    n: int
-    ext: tuple
-    edges: tuple
+    __slots__ = ()
+
+    def __init__(self, n, ext, edges):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ext", ext)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def graph(self):

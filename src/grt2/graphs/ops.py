@@ -50,11 +50,11 @@ def _split(g, v, moved):
     return Graph(g.n + 1, g.ext + (False,), tuple(edges))
 
 
-def _moved_sets(g, v):
+def _moved_sets(g, v, incident):
     """The edge positions each admissible split of vertex v moves, in
-    the order ``split_terms`` yields the splits.
+    the order ``split_terms`` yields the splits; ``incident`` lists the
+    positions of the edges at v.
     """
-    incident = g.incident_edges(v)
     m = len(incident)
     if g.ext[v]:
         for size in range(2, m + 1):
@@ -74,8 +74,15 @@ def split_terms(g, v):
     external vertex sheds any two or more of its edges onto the new
     internal vertex.
     """
-    for moved in _moved_sets(g, v):
+    for moved in _moved_sets(g, v, g.incident_edges(v)):
         yield _split(g, v, moved)
+
+
+def _edge_images(g, aut):
+    """For each automorphism, the position each edge moves to."""
+    position = {e: i for i, e in enumerate(g.edges)}
+    return [[position[tuple(sorted((sigma[u], sigma[v])))]
+             for u, v in g.edges] for sigma in aut]
 
 
 def icg_differential_raw(g, loop_preserving=True):
@@ -92,20 +99,32 @@ def icg_differential_raw(g, loop_preserving=True):
     edges reach; with ``c`` of them distinct the term is connected
     exactly when ``c`` is the number of components, and it then has
     ``a - c`` more loops than the input.
+
+    Aut(g) acts on the kept splits (vertex v, moved edges), and both
+    conditions are invariant under it.  As in :func:`pre_lie_raw`, each
+    orbit is canonicalized once, through its first split, with its size
+    as coefficient; an internal vertex's image set that holds the pinned
+    first edge stands for its complement, which gives the same graph.
+    If the class of g is zero, an odd automorphism pairs the terms off
+    and the sum is zero.
     """
+    aut = automorphisms(g)
+    if aut is None:
+        return GraphSum()
     root, _, count = components(g, g.ext)
+    incidence = g.incidence()
 
     def kept():
         for v in range(g.n):
             if not g.ext[v]:
                 if count == 1:
-                    for moved in _moved_sets(g, v):
-                        yield _split(g, v, moved), 1
+                    for moved in _moved_sets(g, v, incidence[v]):
+                        yield v, moved
                 continue
             # the component each incident edge leads into, None for an
             # edge to another external vertex
             reach = {}
-            for i in g.incident_edges(v):
+            for i in incidence[v]:
                 x, y = g.edges[i]
                 reach[i] = root[y if x == v else x]
             # a kept split moves one edge into each component and, when
@@ -114,15 +133,31 @@ def icg_differential_raw(g, loop_preserving=True):
             if loop_preserving and count + sum(
                     r is None for r in reach.values()) < 2:
                 continue
-            for moved in _moved_sets(g, v):
+            for moved in _moved_sets(g, v, incidence[v]):
                 hit = [reach[i] for i in moved if reach[i] is not None]
                 c = len(set(hit))
                 if c == count and not (loop_preserving
                                        and len(hit) != c):
-                    yield _split(g, v, moved), 1
+                    yield v, moved
+
+    def orbit_representatives():
+        images = _edge_images(g, aut)
+        seen = set()
+        for v, moved in kept():
+            if (v, moved) in seen:
+                continue
+            orbit = set()
+            for sigma, image in zip(aut, images):
+                w = sigma[v]
+                target = sorted(image[i] for i in moved)
+                if not g.ext[w] and incidence[w][0] in target:
+                    target = [i for i in incidence[w] if i not in target]
+                orbit.add((w, tuple(target)))
+            seen |= orbit
+            yield _split(g, v, moved), len(orbit)
 
     terms = {}
-    canonical_sum(kept(), terms)
+    canonical_sum(orbit_representatives(), terms)
     return GraphSum(terms)
 
 
@@ -189,14 +224,11 @@ def pre_lie_raw(g1, g2):
     aut1, aut2 = automorphisms(g1), automorphisms(g2)
     if aut1 is None or aut2 is None:
         return GraphSum()
-    loose = [g1.incident_edges(j) for j in range(g1.n)]
-    position = {e: i for i, e in enumerate(g1.edges)}
+    loose = g1.incidence()
     # moves[k][j][i]: where the i-th loose edge at j lands among the
     # loose edges at aut1[k][j]
     moves = []
-    for sigma in aut1:
-        edge_image = [position[tuple(sorted((sigma[u], sigma[v])))]
-                      for u, v in g1.edges]
+    for sigma, edge_image in zip(aut1, _edge_images(g1, aut1)):
         moves.append([[loose[sigma[j]].index(edge_image[e])
                        for e in loose[j]] for j in range(g1.n)])
 
@@ -274,10 +306,26 @@ def bowtie_difference(a, b):
 def mark_one_external_raw(g):
     """Sum over all vertices of the graph with that vertex flagged
     external; terms violating admissibility are dropped.
+
+    Aut(g) permutes the markings, and an automorphism carries the
+    marking at v onto the one at its image by an even edge permutation,
+    so each orbit of vertices is marked once, at its first vertex, with
+    the orbit size as coefficient.  If the class of g is zero, an odd
+    automorphism pairs the terms off and the sum is zero.
     """
+    aut = automorphisms(g)
+    if aut is None:
+        return GraphSum()
+
     def admissible():
         flags = tuple(i == 0 for i in range(g.n))
+        seen = set()
         for v in range(g.n):
+            if v in seen:
+                continue
+            orbit = {sigma[v] for sigma in aut}
+            seen |= orbit
+
             def remap(w):
                 return 0 if w == v else (w + 1 if w < v else w)
 
@@ -287,7 +335,7 @@ def mark_one_external_raw(g):
                 icg_check(marked)
             except ValueError:
                 continue
-            yield marked, 1
+            yield marked, len(orbit)
 
     terms = {}
     canonical_sum(admissible(), terms)
@@ -395,9 +443,3 @@ def theta_sum_encode(gs):
         for grade, value in by_grade.items()
     }
 
-
-def theta_graph_decode(elem_grade, monomial):
-    """The reference graph of a single monomial; inverse of the encoding
-    on canonical monomials.
-    """
-    return theta_graph(elem_grade, monomial)

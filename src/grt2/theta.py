@@ -16,7 +16,6 @@ degree n in grade g is n + 2 - g; the differential preserves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -39,26 +38,39 @@ from .poly import Poly2, Poly3, even_part, substitute_phi
 _XYZ_SUM = Poly3({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
 
 
-@dataclass(frozen=True)
 class ThetaElement:
     """A coinvariant class in one grade of the theta complex."""
 
-    grade: int
-    value: Poly3
+    __slots__ = ("grade", "value")
 
-    def __post_init__(self):
-        if self.grade not in (0, 1, 2):
+    def __init__(self, grade, value):
+        if grade not in (0, 1, 2):
             raise ValueError("grade must be 0, 1 or 2")
-        if not is_normal_form(self.value):
-            object.__setattr__(
-                self, "value", sign_coinvariant_normal_form(self.value))
-        for key in self.value.terms:
+        if not is_normal_form(value):
+            value = sign_coinvariant_normal_form(value)
+        for key in value.terms:
             deg = sum(key)
-            if self.grade == 0 and deg % 2 == 0:
+            if grade == 0 and deg % 2 == 0:
                 raise ValueError("grade-0 classes have odd total degree")
-            if self.grade == 2 and (deg % 2 == 1 or deg == 0):
+            if grade == 2 and (deg % 2 == 1 or deg == 0):
                 raise ValueError(
                     "grade-2 classes have even, positive total degree")
+        object.__setattr__(self, "grade", grade)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("theta elements are immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ThetaElement:
+            return NotImplemented
+        return self.grade == other.grade and self.value == other.value
+
+    def __hash__(self):
+        return hash((self.grade, self.value))
+
+    def __repr__(self):
+        return "ThetaElement(grade=%r, value=%r)" % (self.grade, self.value)
 
     def weights(self):
         return sorted({sum(k) + 2 - self.grade for k in self.value.terms})
@@ -251,26 +263,39 @@ def theta_relation(a, b):
 # -- relation spaces --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RelationVector:
     """Coefficients (a_1, ..., a_m) of a weight-k linear relation among
     the brackets {sigma_(2i+1), sigma_(k-1-2i)}, i ascending, normalized
     to coprime integers with positive leading entry.
     """
 
-    weight: int
-    coeffs: tuple
+    __slots__ = ("weight", "coeffs")
 
-    def __post_init__(self):
-        if self.weight % 2 != 0 or self.weight < 8:
+    def __init__(self, weight, coeffs):
+        if weight % 2 != 0 or weight < 8:
             raise ValueError("relation weight must be even and >= 8")
-        expected = (self.weight - 4) // 4
-        if len(self.coeffs) != expected:
+        expected = (weight - 4) // 4
+        if len(coeffs) != expected:
             raise ValueError(
                 "weight %d relations have %d coefficients, got %d"
-                % (self.weight, expected, len(self.coeffs)))
-        object.__setattr__(
-            self, "coeffs", normalize_integer_vector(self.coeffs))
+                % (weight, expected, len(coeffs)))
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "coeffs", normalize_integer_vector(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("relation vectors are immutable")
+
+    def __eq__(self, other):
+        if type(other) is not RelationVector:
+            return NotImplemented
+        return self.weight == other.weight and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.weight, self.coeffs))
+
+    def __repr__(self):
+        return "RelationVector(weight=%r, coeffs=%r)" % (
+            self.weight, self.coeffs)
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)

@@ -257,6 +257,21 @@ def test_output_independent_of_hash_seed(tmp_path):
         assert outputs[0] == outputs[1] != ""
 
 
+def test_startup_does_not_import_dataclasses(tmp_path):
+    # The value classes are plain __slots__ classes, so loading the
+    # graph commands pulls in neither dataclasses nor inspect (nor what
+    # inspect loads).  -S keeps site hooks from importing them instead.
+    import_root = str(Path(grt2.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); "
+            "import grt2.cli, grt2.graphs.ops; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            % import_root)
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_export_relations(tmp_path, capsys):
     out_path = tmp_path / "k12.json"
     code, _ = run_cli(capsys, "export", "--what", "relations",

@@ -12,6 +12,7 @@ from grt2.graphs import (
     graph_from_text,
     graph_to_text,
 )
+from grt2.graphs import canon
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.core import gc2_degree, icg_check, icg_degree, weight
 from helpers import check_canonicalize_invariance
@@ -98,6 +99,50 @@ def test_canonicalize_invariance_randomized():
         figure_eight(2, 4),
     ]
     check_canonicalize_invariance(rng, graphs)
+
+
+def test_canonicalize_past_64_vertices():
+    # rows are packed into unbounded ints, so there is no vertex limit
+    g = theta_graph(1, (40, 20, 10))
+    assert g.n == 73
+    assert canonicalize(g)[0] is not None
+    check_canonicalize_invariance(random.Random(73), [g], samples=5)
+
+
+def test_search_memo_seeds_canonical_representative():
+    # the result a search records for its canonical representative is
+    # what the representative's own search returns, labelings included
+    rng = random.Random(11)
+    graphs = [wheel(3), wheel(5), wheel(7), figure_eight(2, 4),
+              figure_eight(3, 3)]
+    graphs += [theta_graph(grade, counts) for grade in (0, 1, 2)
+               for counts in theta_shapes(grade, 7)]
+    for g in list(graphs):
+        internal = [v for v in range(g.n) if not g.ext[v]]
+        perm = dict(zip(internal, rng.sample(internal, len(internal))))
+        edges = [(perm.get(u, u), perm.get(v, v)) for u, v in g.edges]
+        rng.shuffle(edges)
+        graphs.append(Graph(g.n, g.ext, tuple(edges)))
+    seeded = 0
+    for g in graphs:
+        canon._memo.clear()
+        cls, _ = canonicalize(g, check=False)
+        if cls is None:
+            continue
+        seeded += 1
+        assert canon._memo[cls.graph] == canon._label(cls.graph), g
+    assert seeded > 20
+
+
+def test_search_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(canon, "MEMO_SIZE", 5)
+    canon._memo.clear()
+    graphs = [theta_graph(1, counts) for counts in theta_shapes(1, 8)]
+    first = [canonicalize(g) for g in graphs]
+    assert len(canon._memo) == 5
+    # evicted graphs are searched again, to the same result
+    assert [canonicalize(g) for g in graphs] == first
+    assert len(canon._memo) == 5
 
 
 def test_graphsum_arithmetic():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
-from grt2.graphs.core import Graph, GraphSum
+from grt2.graphs.core import Graph, GraphSum, icg_check
 from grt2.graphs.ops import (
     bowtie,
     bowtie_difference,
@@ -23,7 +23,6 @@ from grt2.graphs.ops import (
     mark_one_external_raw,
     pre_lie_raw,
     split_terms,
-    theta_graph_decode,
     theta_graph_encode,
     theta_sum_encode,
     two_loop_part,
@@ -154,6 +153,40 @@ def test_icg_differential_matches_reference(g, loop_preserving):
     assert list(got.terms) == list(want.terms)
 
 
+def test_icg_differential_matches_reference_on_theta_shapes():
+    # every input of the d-squared and encoding checks at cap 9; the
+    # zero-class shapes among them have an empty reference sum
+    zeros = 0
+    for grade in (0, 1):
+        for counts in theta_shapes(grade, 9):
+            g = theta_graph(grade, counts)
+            got = icg_differential_raw(g)
+            want = icg_differential_reference(g, True)
+            assert got == want, (grade, counts)
+            assert list(got.terms) == list(want.terms), (grade, counts)
+            if automorphisms(g) is None:
+                zeros += 1
+                assert want.is_zero(), (grade, counts)
+    assert zeros == 32
+
+
+def test_icg_differential_matches_reference_on_symmetric_inputs():
+    # internal vertices of valence at least 4 moved by automorphisms:
+    # the orbit of a split can reach an edge set holding the pinned
+    # first edge, which stands for its complement
+    inputs = [figure_eight(2, 4), figure_eight(3, 3), figure_eight(2, 2)]
+    for spokes in (3, 5, 7):
+        inputs += [cls.graph for cls, _ in
+                   mark_one_external_raw(wheel(spokes)).sorted_terms()]
+    assert sum(len(automorphisms(g) or ()) > 1 for g in inputs) >= 4
+    for g in inputs:
+        for loop_preserving in (True, False):
+            got = icg_differential_raw(g, loop_preserving)
+            want = icg_differential_reference(g, loop_preserving)
+            assert got == want, (g, loop_preserving)
+            assert list(got.terms) == list(want.terms)
+
+
 def test_d_squared_full_differential():
     cases = [theta_graph(1, (2, 4, 0)), theta_graph(0, (2, 1, 0))]
     for g in cases:
@@ -198,7 +231,7 @@ def test_encode_decode_round_trip():
                 if a + b + c > 10 or (b == 0 and c == 0):
                     continue
                 mono = (a, b, c)
-                elem = theta_graph_encode(theta_graph_decode(1, mono))
+                elem = theta_graph_encode(theta_graph(1, mono))
                 assert elem.grade == 1
                 assert elem.value == Poly3.monomial(mono)
 
@@ -350,6 +383,43 @@ def test_theta_identity():
         marked = two_loop_part(
             mark_one_external(bowtie_difference(i2 + 1, j2 + 1)))
         assert image == marked + GraphSum({cls: 4 * sign}), (i2, j2)
+
+
+def mark_one_external_reference(g):
+    """Every vertex marked, each marking with coefficient 1, through
+    the admissibility check and canonical_sum: the plain definition of
+    the marking map."""
+    flags = tuple(i == 0 for i in range(g.n))
+    marked = []
+    for v in range(g.n):
+        def remap(w):
+            return 0 if w == v else (w + 1 if w < v else w)
+
+        term = Graph(g.n, flags,
+                     tuple((remap(a), remap(b)) for a, b in g.edges))
+        try:
+            icg_check(term)
+        except ValueError:
+            continue
+        marked.append((term, 1))
+    terms = {}
+    canonical_sum(marked, terms)
+    return GraphSum(terms)
+
+
+def test_marking_orbits_match_reference():
+    level2 = gc2_bracket(wheel_class(3), wheel_class(5)).restrict(
+        lambda c: filtration_value(c.graph) == 2)
+    cases = [wheel(3), wheel(5), wheel(7), bowtie(3, 5), bowtie(5, 3)]
+    cases += [cls.graph for cls, _ in level2.sorted_terms()]
+    assert len(cases) == 7
+    for g in cases:
+        got, want = mark_one_external_raw(g), mark_one_external_reference(g)
+        assert got == want, g
+        assert list(got.terms) == list(want.terms)
+        assert not got.is_zero()
+    assert mark_one_external_reference(WHEEL4).is_zero()
+    assert mark_one_external_raw(WHEEL4).is_zero()
 
 
 def test_marking_wheels():
