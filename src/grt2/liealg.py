@@ -14,6 +14,23 @@ commutative monomials alpha^u beta^v gamma^w; the symmetric group then
 acts by plainly permuting exponents, and a coefficient vector gives a
 relation if and only if the encoded sum G satisfies both symmetry
 conditions G + (13).G = 0 and G + (123).G + (132).G = 0.
+
+Every word of ad_x^n(y) has one y, with coefficient (-1)^u C(n, u), so
+the depth-2 encoding of a bracket of two adjoint powers is a sum of
+binomial products; :func:`encoded_bracket_generator` builds it from
+them.  The word-level definition (:func:`ad_power`,
+:func:`ihara_bracket`, :func:`depth2_encode`) is kept as its reference.
+
+:func:`schneps_check` works in the difference variables X = alpha-beta
+and Y = beta-gamma, in which G = sum_i a_i X^(2i) Y^(k-2-2i) is a binary
+form of degree k-2 whose coefficients are the a_i themselves.  Written
+as substitutions, (13) sends X to -Y and Y to -X, and the two 3-cycles
+send X to Y, Y to -X-Y and X to -X-Y, Y to X.  X and Y are
+algebraically independent, so Q[X, Y] embeds in Q[alpha, beta, gamma],
+and S3 maps that subring to itself by these substitutions; each
+condition is therefore an identity between binary forms of degree k-2,
+k-1 coefficients each, and holds there exactly when it holds for the
+expanded G (:func:`symmetry_polynomial`) under the plain action.
 """
 
 from __future__ import annotations
@@ -76,24 +93,66 @@ def depth2_encode(p):
     return Poly3(out)
 
 
+def _signed_binomials(n):
+    """The coefficients (-1)^u C(n, u), u = 0 .. n, of ad_x^n(y)."""
+    row = [1]
+    for u in range(n):
+        row.append(-row[-1] * (n - u) // (u + 1))
+    return row
+
+
 def encoded_bracket_generator(i, k):
     """Depth-2 encoding of the bracket of the leading terms of the
     weight-(2i+1) and weight-(k-1-2i) generators.
+
+    With f = ad_x^A(y), g = ad_x^B(y), A = 2i, B = k-2-2i and
+    c = (-1)^(u+v) C(A,u) C(B,v), the word pair (u, v) gives the six
+    two-y words below, encoded as (alpha, beta, gamma) exponents: two
+    from D_f(g), two from -D_g(f) and two from [f, g].  This equals
+    depth2_encode(ihara_bracket(ad_power(A), ad_power(B))).  Summed over
+    (u, v), the six families are (X+Y)^B (Y^A - X^A),
+    -(X+Y)^A (Y^B - X^B) and X^A Y^B - X^B Y^A in the difference
+    variables X = alpha-beta and Y = beta-gamma.
     """
-    return depth2_encode(ihara_bracket(ad_power(2 * i), ad_power(k - 2 - 2 * i)))
+    if k % 2 or k < 8:
+        raise ValueError("no bracket generator at weight k=%d (i=%d): the "
+                         "weight must be even and >= 8" % (k, i))
+    m = generator_count(k)
+    if not 1 <= i <= m:
+        raise ValueError("bracket generator index i=%d is outside 1..%d at "
+                         "weight k=%d" % (i, m, k))
+    a, b = 2 * i, k - 2 - 2 * i
+    fb = _signed_binomials(b)
+    terms = {}
+    get = terms.get
+    for u, cu in enumerate(_signed_binomials(a)):
+        for v, cv in enumerate(fb):
+            c = cu * cv
+            s = u + v
+            for key, x in (((b - v, a - u, s), c), ((a + b - s, u, v), -c),
+                           ((a - u, b - v, s), -c), ((a + b - s, v, u), c),
+                           ((a - u, u + b - v, v), c),
+                           ((b - v, v + a - u, u), -c)):
+                terms[key] = get(key, 0) + x
+    return Poly3(terms)
 
 
 def bracket_kernel(k):
     """Relations among the weight-k bracket generators, computed as the
     exact kernel of the depth-2 encodings of the leading-term brackets.
+
+    Each encoding is a binary form in the difference variables (see
+    :func:`encoded_bracket_generator`), and setting gamma = 0 maps
+    Q[X, Y] injectively, X to alpha-beta and Y to beta, so a combination
+    of encodings vanishes exactly when its gamma-free part does: the
+    kernel is taken over the k-1 monomials alpha^p beta^(k-2-p).
     """
     _check_relation_weight(k)
     m = generator_count(k)
-    cols = [encoded_bracket_generator(i, k) for i in range(1, m + 1)]
-    monomials = sorted({key for col in cols for key in col.terms})
-    index = {mono: r for r, mono in enumerate(monomials)}
-    sparse = [{index[key]: c for key, c in col.terms.items()} for col in cols]
-    basis = kernel_mod_image(sparse, [], len(monomials))
+    cols = [{p: c for (p, _, r), c in
+             encoded_bracket_generator(i, k).terms.items() if r == 0}
+            for i in range(1, m + 1)]
+    basis = kernel_mod_image(cols, [], k - 1)
     return [RelationVector(k, tuple(v)) for v in basis]
 
 
@@ -118,6 +177,11 @@ def symmetry_polynomial(k, full_coeffs):
     the binomial theorem: with n = k-2-2i, the term alpha^p
     beta^(2i-p+q) gamma^(n-q) carries a_i C(2i,p) C(n,q) (-1)^(2i-p+n-q).
     """
+    _check_relation_weight(k)
+    expected = (k - 4) // 2
+    if len(full_coeffs) != expected:
+        raise ValueError("weight %d takes %d extended coefficients, got %d"
+                         % (k, expected, len(full_coeffs)))
     terms = {}
     for i, a in enumerate(full_coeffs, start=1):
         if a == 0:
@@ -137,19 +201,27 @@ def symmetry_polynomial(k, full_coeffs):
 def schneps_check(rv):
     """Whether a relation vector satisfies both symmetry conditions of
     the depth-2 classification, G + (13).G = 0 and
-    G + (123).G + (132).G = 0, read off the coefficients g of G: the
-    first holds iff g[p,q,r] + g[r,q,p] = 0 on every key of G, as (13)
-    is an involution, and the second iff the sum over the 3-cycle orbit
-    of every key of G vanishes, as each key of the sum lies in the orbit
-    of a key of G and carries that orbit's sum.
+    G + (123).G + (132).G = 0, checked on the coefficients g_j of
+    X^j Y^(d-j) in the difference variables (see the module docstring),
+    d = k-2.  Only even j carry a coefficient, so no sign survives the
+    substitutions: (13).G has g_(d-j) at j, and the 3-cycles give
+    G(Y, -X-Y) = sum_j g_j Y^j (X+Y)^(d-j) and
+    G(-X-Y, X) = sum_j g_j (X+Y)^j X^(d-j).
     """
+    d = rv.weight - 2
     full = extend_coefficients(rv.weight, rv.coeffs)
-    g = symmetry_polynomial(rv.weight, full).terms
-    get = g.get
-    for (p, q, r), c in g.items():
-        if c + get((r, q, p), 0):
-            return False
-    for (p, q, r), c in g.items():
-        if c + get((q, r, p), 0) + get((r, p, q), 0):
-            return False
-    return True
+    g = {2 * i: a for i, a in enumerate(full, start=1) if a}
+    if any(a + g.get(d - j, 0) for j, a in g.items()):
+        return False
+    h = [0] * (d + 1)  # coefficients of G + (123).G + (132).G
+    for j, a in g.items():
+        h[j] += a
+        c = a
+        for t in range(d - j + 1):  # a C(d-j, t) X^t Y^(d-t)
+            h[t] += c
+            c = c * (d - j - t) // (t + 1)
+        c = a
+        for t in range(j + 1):  # a C(j, t) X^(d-j+t) Y^(j-t)
+            h[d - j + t] += c
+            c = c * (j - t) // (t + 1)
+    return not any(h)

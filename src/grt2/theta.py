@@ -29,7 +29,6 @@ from .linalg import (
 from .perms import (
     S3,
     IDENTITY,
-    induced_action,
     is_normal_form,
     sign_coinvariant_normal_form,
 )
@@ -338,23 +337,32 @@ def relation_space(k):
     return [RelationVector(k, tuple(v)) for v in kernel]
 
 
+def _induced_difference(perm, u, v):
+    """induced_action(perm, x^u y^v) - x^u y^v, built from binomials:
+    with (a, b, c) = perm.permute((u, v, 0)) the action gives
+    sign * x^a y^b (-x-y)^c.
+    """
+    a, b, c = perm.permute((u, v, 0))
+    s = -perm.sign if c % 2 else perm.sign
+    terms = {(a + j, b + c - j): s * comb(c, j) for j in range(c + 1)}
+    terms[(u, v)] = terms.get((u, v), 0) - 1
+    return Poly2(terms)
+
+
 def relation_space_psi(k):
     """The same space derived through the recursive projection: the
-    degree-(k-2) slice of the span of psi(sigma_* v) - psi(v).
+    degree-(k-2) slice of the span of psi(sigma_* v) - psi(v), one row
+    psi(sigma_* v - v) per monomial v and non-identity sigma.
     """
     _check_relation_weight(k)
     monos = theta_monomials(k)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for u in range(k - 1):
-        v = k - 2 - u
-        if (u + v) % 2 != 0:
-            continue
-        base = Poly2.monomial((u, v))
         for perm in S3:
             if perm == IDENTITY:
                 continue
-            moved = psi(induced_action(perm, base) - base)
+            moved = psi(_induced_difference(perm, u, k - 2 - u))
             if moved.is_zero():
                 continue
             row = [0] * len(monos)

@@ -14,11 +14,12 @@ from grt2.liealg import (
     schneps_check,
     symmetry_polynomial,
 )
-from grt2.linalg import span_equal
+from grt2.linalg import kernel_mod_image, span_equal
 from grt2.perms import CYCLE_123, CYCLE_132, SWAP_13, plain_action
 from grt2.poly import NCPoly, Poly3
 from grt2.theta import (
     RelationVector,
+    generator_count,
     relation_count,
     relation_space,
     relation_space_psi,
@@ -138,12 +139,12 @@ def test_schneps_scaling_invariance():
 
 
 def test_schneps_check_matches_poly3_definition():
-    # both symmetry conditions written with the S3 action on Poly3;
-    # integer combinations of a relation basis satisfy them, random
-    # integer vectors almost never do
+    # both symmetry conditions written with the S3 action on Poly3 in
+    # alpha, beta, gamma; integer combinations of a relation basis
+    # satisfy them, random integer vectors almost never do
     rng = random.Random(907)
     outcomes = set()
-    for k in (12, 16, 24, 30, 36):
+    for k in range(8, 61, 2):
         basis = relation_space(k)
         m = (k - 4) // 4
         for trial in range(8):
@@ -160,6 +161,19 @@ def test_schneps_check_matches_poly3_definition():
             assert schneps_check(rv) == expect, (k, rv)
             outcomes.add(expect)
     assert outcomes == {True, False}
+
+
+def test_symmetry_polynomial_rejects_wrong_length():
+    # weight 8 has (8-4)//2 = 2 extended coefficients; extra ones used
+    # to be dropped silently
+    with pytest.raises(ValueError, match="takes 2 extended coefficients, "
+                                         "got 5"):
+        symmetry_polynomial(8, [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="takes 4 extended coefficients, "
+                                         "got 1"):
+        symmetry_polynomial(12, [1])
+    with pytest.raises(ValueError, match="even and >= 8"):
+        symmetry_polynomial(9, [1, 2])
 
 
 def test_bracket_kernel_published_values():
@@ -189,10 +203,46 @@ def test_encoded_generator_degree():
     assert enc.degrees() == [10]
 
 
-def test_oracles_agree_weights_30_to_94():
+def test_encoded_bracket_generator_matches_word_level_reference():
+    # the binomial closed form against the NCPoly definition, for every
+    # generator of every even weight 8..40
+    for k in range(8, 41, 2):
+        for i in range(1, generator_count(k) + 1):
+            expect = depth2_encode(
+                ihara_bracket(ad_power(2 * i), ad_power(k - 2 - 2 * i)))
+            assert encoded_bracket_generator(i, k) == expect, (i, k)
+
+
+def test_bracket_kernel_matches_kernel_over_all_monomials():
+    # bracket_kernel eliminates over the gamma-free monomials only; the
+    # kernel over every monomial of the encodings is the same
+    for k in range(8, 61, 2):
+        cols = [encoded_bracket_generator(i, k).terms
+                for i in range(1, generator_count(k) + 1)]
+        monomials = sorted({key for col in cols for key in col})
+        index = {mono: r for r, mono in enumerate(monomials)}
+        sparse = [{index[key]: c for key, c in col.items()} for col in cols]
+        expect = [RelationVector(k, tuple(v))
+                  for v in kernel_mod_image(sparse, [], len(monomials))]
+        assert bracket_kernel(k) == expect, k
+
+
+@pytest.mark.parametrize("i, k, message", [
+    (1, 9, "weight k=9"),
+    (1, 6, "weight k=6"),
+    (0, 12, "i=0 is outside 1..2 at weight k=12"),
+    (3, 12, "i=3 is outside 1..2 at weight k=12"),
+    (-1, 12, "i=-1 is outside 1..2 at weight k=12"),
+])
+def test_encoded_bracket_generator_rejects_bad_index(i, k, message):
+    with pytest.raises(ValueError, match=message):
+        encoded_bracket_generator(i, k)
+
+
+def test_oracles_agree_weights_30_to_110():
     # a wider range than the published one; the symmetry criterion is
     # linear, so checking one basis of the common span covers all three
-    for k in range(30, 95, 2):
+    for k in range(30, 111, 2):
         vecs = relation_space(k)
         base = [[Fraction(c) for c in v.coeffs] for v in vecs]
         assert len(base) == relation_count(k), k

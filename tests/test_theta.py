@@ -6,9 +6,11 @@ from math import comb
 import pytest
 
 from grt2.linalg import in_span, span_equal
+from grt2.perms import IDENTITY, S3, induced_action
 from grt2.poly import Poly2, Poly3
 from grt2.theta import (
     _d0_columns,
+    _induced_difference,
     _psi_monomial,
     RelationVector,
     ThetaElement,
@@ -264,6 +266,22 @@ def test_psi_oracle_agrees_with_rank_oracle():
         a = [[Fraction(c) for c in v.coeffs] for v in relation_space(k)]
         b = [[Fraction(c) for c in v.coeffs] for v in relation_space_psi(k)]
         assert span_equal(a, b), k
+
+
+def test_psi_rows_match_induced_action_through_weight_60():
+    # each row of the psi oracle, built from binomials, against the
+    # Poly3 round trip of perms.induced_action
+    for k in range(8, 61, 2):
+        for u in range(k - 1):
+            v = k - 2 - u
+            base = Poly2.monomial((u, v))
+            for perm in S3:
+                if perm == IDENTITY:
+                    continue
+                expect = induced_action(perm, base) - base
+                row = _induced_difference(perm, u, v)
+                assert row == expect, (perm, u, v)
+                assert psi(row) == psi(expect), (perm, u, v)
 
 
 def test_theta_relation_lands_in_relation_space():
