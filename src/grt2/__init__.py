@@ -5,8 +5,8 @@ floating point is used anywhere.  The main entry points are:
 
 * :mod:`grt2.poly` -- sparse polynomial rings (commutative in two and
   three variables, noncommutative in two letters).
-* :mod:`grt2.perms` -- the three symmetric-group actions and coinvariant
-  normal forms.
+* :mod:`grt2.perms` -- the symmetric group on three letters and the
+  coinvariant normal form of its sign action.
 * :mod:`grt2.theta` -- the three-term complex of hairy theta graphs in
   polynomial form, its cohomology and the relation tables.
 * :mod:`grt2.liealg` -- Ihara brackets of adjoint powers, the depth-2

@@ -220,15 +220,24 @@ def check_encoding(weight_cap):
     return results
 
 
+def _above_level_1(bracket):
+    """Whether a wheel bracket is nonzero with every term at filtration
+    level at least 2; a zero bracket would pass the second part vacuously.
+    """
+    from .graphs.ops import filtration_value
+
+    return not bracket.is_zero() and all(
+        filtration_value(c.graph) >= 2 for c in bracket.terms)
+
+
 def check_bowtie(_cap):
     from .graphs.ops import (bowtie_difference, filtration_value,
                              gc2_bracket, wheel_class)
 
     results = []
     br = gc2_bracket(wheel_class(3), wheel_class(5))
-    results.append(
-        ("[w3,w5] every term at filtration level >= 2",
-         all(filtration_value(c.graph) >= 2 for c in br.terms)))
+    results.append(("[w3,w5] every term at filtration level >= 2",
+                    _above_level_1(br)))
     level2 = br.restrict(lambda c: filtration_value(c.graph) == 2)
     diff = bowtie_difference(3, 5)
     ok = set(level2.terms) == set(diff.terms)
@@ -260,7 +269,7 @@ def check_filtration(size_cap):
         br = gc2_bracket(wheel_class(a), wheel_class(b))
         results.append(
             ("[w%d,w%d] every term at filtration level >= 2" % (a, b),
-             all(filtration_value(c.graph) >= 2 for c in br.terms)))
+             _above_level_1(br)))
     return results
 
 

@@ -68,6 +68,8 @@ def theta_shapes(grade, max_weight):
     The weight counts the strand hairs and the 2 - grade junction
     hairs.  Only k3 may be 0: two bare strands form a double edge.
     """
+    if grade not in (0, 1, 2):
+        raise ValueError("grade must be 0, 1 or 2")
     maxdeg = max_weight - (2 - grade)
     return [(k1, k2, k3)
             for k1 in range(1, maxdeg + 1)

@@ -53,7 +53,7 @@ class Graph(_LabeledGraph):
                 raise ValueError("edge endpoint out of range")
             norm.append((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ext", ext)
+        object.__setattr__(self, "ext", tuple(ext))
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -166,20 +166,9 @@ def gc2_check(g):
     return g
 
 
-def icg_degree(g):
-    """1 - #edges + 2 #internal vertices."""
-    return 1 - g.num_edges + 2 * len(g.internal_vertices())
-
-
 def gc2_degree(g):
     """-2 - #edges + 2 #vertices."""
     return -2 - g.num_edges + 2 * g.n
-
-
-def weight(g):
-    """Number of edges adjacent to external vertices."""
-    ext = set(g.external_vertices())
-    return sum(1 for u, v in g.edges if u in ext or v in ext)
 
 
 class GraphClass(_LabeledGraph):

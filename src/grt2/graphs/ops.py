@@ -24,16 +24,6 @@ def filtration_value(g):
     return g.n - max(g.valences())
 
 
-def is_one_vertex_irreducible(g):
-    """Whether the graph stays connected after deleting any one vertex.
-
-    Deleting a vertex from a graph on at most two vertices leaves a
-    trivially connected remainder.
-    """
-    return all(components(g, [u == v for u in range(g.n)])[2] <= 1
-               for v in range(g.n))
-
-
 # -- vertex splitting --------------------------------------------------------
 
 

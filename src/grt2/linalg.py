@@ -151,6 +151,18 @@ def _dense(vec, n):
     return [vec.get(i, zero) for i in range(n)]
 
 
+def _width(rows):
+    """The number of columns of a dense matrix, the length of its first
+    row; a row of another length raises ValueError naming it.
+    """
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError("row %d has length %d, expected %d"
+                             % (i, len(row), width))
+    return width
+
+
 def _reduced_basis(vectors, n):
     """Rows of the reduced row echelon form of the vectors, each as a
     dense list of length n.
@@ -165,20 +177,16 @@ def rref(rows):
     """
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    ncols = _width(rows)
     reduced = Echelon(rows).reduced_rows()
     mat = [_dense(row, ncols) for _, row in reduced]
     mat += [[Fraction(0)] * ncols for _ in range(len(rows) - len(mat))]
     return mat, [lead for lead, _ in reduced]
 
 
-def rank(rows):
-    return len(Echelon(rows))
-
-
 def rank_of_columns(columns):
-    """Rank of a sparse matrix given as an iterable of columns, each a
-    mapping from row index to coefficient.
+    """Rank of a matrix given as an iterable of columns, each a sparse
+    mapping from row index to coefficient or a dense sequence.
     """
     return len(Echelon(columns))
 
@@ -189,7 +197,7 @@ def nullspace(rows):
     """
     if not rows:
         return []
-    ncols = len(rows[0])
+    ncols = _width(rows)
     ech = Echelon()
     basis = []
     for j in range(ncols):
@@ -203,12 +211,7 @@ def row_space_basis(rows):
     """Nonzero rows of the reduced row echelon form."""
     if not rows:
         return []
-    return _reduced_basis(rows, len(rows[0]))
-
-
-def in_span(vectors, target):
-    """Whether target lies in the linear span of the given vectors."""
-    return Echelon(vectors).add(target) is not None
+    return _reduced_basis(rows, _width(rows))
 
 
 def span_equal(vecs_a, vecs_b):
@@ -216,7 +219,7 @@ def span_equal(vecs_a, vecs_b):
     ech = Echelon(vecs_a)
     rank_a = len(ech)
     return (all(ech.add(v) is not None for v in vecs_b)
-            and rank(vecs_b) == rank_a)
+            and len(Echelon(vecs_b)) == rank_a)
 
 
 def kernel_mod_image(gen_cols, image_cols, dim):

@@ -1,22 +1,18 @@
-"""The symmetric group on three letters and its polynomial actions.
-
-Three actions are used throughout:
-
-* the *sign* action on three-variable polynomials, where a permutation
-  also multiplies by its parity,
-* the *plain* permutation action on three-variable polynomials (used for
-  the depth-2 letter encoding), and
-* the action *induced* on two-variable polynomials by the sign action
-  through the substitution z -> -x - y.
+"""The symmetric group on three letters and the coinvariant normal form
+of its sign action.
 
 A permutation acts on an exponent triple (k1, k2, k3) by sending it to
 (k_{s(1)}, k_{s(2)}, k_{s(3)}).  Composition is arranged so that
-``(s @ t)`` acts as ``s`` after ``t``.
+``(s @ t)`` acts as ``s`` after ``t``.  Under the *sign* action on
+three-variable polynomials a permutation also multiplies by its parity;
+every class of the coinvariants has one representative supported on
+strictly decreasing exponent triples, which
+:func:`sign_coinvariant_normal_form` computes.
 """
 
 from __future__ import annotations
 
-from .poly import Poly3, substitute_phi
+from .poly import Poly3
 
 
 class Perm3:
@@ -64,26 +60,6 @@ CYCLE_123 = Perm3((1, 2, 0))  # 1 -> 2 -> 3 -> 1
 CYCLE_132 = Perm3((2, 0, 1))
 
 S3 = (IDENTITY, SWAP_12, SWAP_13, SWAP_23, CYCLE_123, CYCLE_132)
-
-
-def sign_action(perm, p):
-    """Permute exponent triples and multiply by the permutation's parity."""
-    s = perm.sign
-    return Poly3({perm.permute(k): s * c for k, c in p.terms.items()})
-
-
-def plain_action(perm, p):
-    """Permute exponent triples with no sign."""
-    return Poly3({perm.permute(k): c for k, c in p.terms.items()})
-
-
-def induced_action(perm, p):
-    """The action on two-variable polynomials obtained from the sign
-    action by lifting x^a y^b to x^a y^b z^0 and projecting back through
-    z -> -x - y.  Any lift works since the projection kills x + y + z.
-    """
-    lifted = Poly3({(a, b, 0): c for (a, b), c in p.terms.items()})
-    return substitute_phi(sign_action(perm, lifted))
 
 
 def monomial_normal_form(key):

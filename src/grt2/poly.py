@@ -4,10 +4,14 @@ Three rings are provided:
 
 * :class:`Poly3` -- commutative polynomials in three variables, keyed by
   exponent triples.  Used both for the hairy-theta-graph coordinates
-  (x, y, z) and for the depth-2 letter encoding (alpha, beta, gamma).
-* :class:`Poly2` -- commutative polynomials in two variables.
+  (x, y, z) and for the depth-2 letter encoding (alpha, beta, gamma);
+  :func:`even_part` gives the grade-1 differential its projection.
+* :class:`Poly2` -- commutative polynomials in two variables, the
+  domain and range of the projection ``theta.psi``.
 * :class:`NCPoly` -- polynomials in two noncommuting letters ``x`` and
-  ``y``; words are plain strings over the alphabet ``xy``.
+  ``y``; words are plain strings over the alphabet ``xy``.  With
+  :func:`nc_bracket` it carries the word-level Ihara bracket of
+  :mod:`grt2.liealg`, the reference for its closed forms.
 
 The sparse base they share also carries the graph sums of
 :mod:`grt2.graphs.core`, which add and scale but have no product.
@@ -23,7 +27,6 @@ no method mutates ``self`` or its arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 
 def _exact(c):
@@ -139,36 +142,17 @@ class _SparsePoly:
 
 
 class _CommPoly(_SparsePoly):
-    """Commutative polynomials; keys are exponent tuples of length
-    ``nvars`` (set by each subclass) over the variables x, y, z in that
-    order.
+    """Commutative polynomials; keys are exponent tuples over the
+    variables x, y, z in that order.
     """
 
     @staticmethod
     def _key_str(k):
         return " ".join("%s^%d" % pair for pair in zip("xyz", k))
 
-    @classmethod
-    def variable(cls, i):
-        key = tuple(1 if j == i else 0 for j in range(cls.nvars))
-        return cls.monomial(key)
-
-    def degrees(self):
-        return sorted({sum(k) for k in self.terms})
-
-    def evaluate(self, vals):
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            for val, exp in zip(vals, key):
-                coeff = coeff * val ** exp
-            total += coeff
-        return total
-
 
 class Poly3(_CommPoly):
     """Polynomial in three commuting variables; keys are exponent triples."""
-
-    nvars = 3
 
     @staticmethod
     def _mul_key(k1, k2):
@@ -177,8 +161,6 @@ class Poly3(_CommPoly):
 
 class Poly2(_CommPoly):
     """Polynomial in two commuting variables; keys are exponent pairs."""
-
-    nvars = 2
 
     @staticmethod
     def _mul_key(k1, k2):
@@ -208,34 +190,10 @@ class NCPoly(_SparsePoly):
             raise ValueError("depth of the zero polynomial is undefined")
         return min(w.count("y") for w in self.terms)
 
-    def weights(self):
-        return sorted({len(w) for w in self.terms})
-
 
 def even_part(p):
     """Projection onto monomials of even total degree."""
     return type(p)({k: c for k, c in p.terms.items() if sum(k) % 2 == 0})
-
-
-def odd_part(p):
-    """Projection onto monomials of odd total degree."""
-    return type(p)({k: c for k, c in p.terms.items() if sum(k) % 2 == 1})
-
-
-def substitute_phi(p):
-    """Ring map Poly3 -> Poly2 with x -> x, y -> y, z -> -x - y.
-
-    Kills exactly the ideal generated by x + y + z, hence computes the
-    canonical representative of p in the quotient by that ideal.
-    """
-    out = {}
-    for (a, b, c), coeff in p.terms.items():
-        # (-x-y)^c = sum_j (-1)^c C(c,j) x^j y^(c-j)
-        for j in range(c + 1):
-            key = (a + j, b + c - j)
-            term = coeff * ((-1) ** c) * comb(c, j)
-            out[key] = out.get(key, 0) + term
-    return Poly2(out)
 
 
 def nc_bracket(a, b):

@@ -32,7 +32,7 @@ from .perms import (
     is_normal_form,
     sign_coinvariant_normal_form,
 )
-from .poly import Poly2, Poly3, even_part, substitute_phi
+from .poly import Poly2, Poly3, even_part
 
 _XYZ_SUM = Poly3({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
 
@@ -71,12 +71,6 @@ class ThetaElement:
     def __repr__(self):
         return "ThetaElement(grade=%r, value=%r)" % (self.grade, self.value)
 
-    def weights(self):
-        return sorted({sum(k) + 2 - self.grade for k in self.value.terms})
-
-    def is_zero(self):
-        return self.value.is_zero()
-
 
 def d0_theta(elem):
     """The loop-preserving vertex-splitting differential in polynomial
@@ -90,14 +84,6 @@ def d0_theta(elem):
     else:
         image = even_part(product)
     return ThetaElement(elem.grade + 1, sign_coinvariant_normal_form(image))
-
-
-def theta_generator(i, j):
-    """Grade-1 class of x^(2i) y^(2j); zero when i = j."""
-    if i < 1 or j < 1:
-        raise ValueError("hair counts must be positive")
-    return ThetaElement(
-        1, sign_coinvariant_normal_form(Poly3.monomial((2 * i, 2 * j, 0))))
 
 
 def weight_slice_basis(grade, weight):
@@ -146,14 +132,18 @@ def _d0_columns(grade, weight):
     return cols
 
 
-def cohomology_dim(i, k):
-    """Dimension of the degree-i cohomology of the weight-k slice,
-    computed by exact rank over Q.
-    """
+def _check_degree_weight(i, k):
     if i not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     if k < 1:
         raise ValueError("weight must be >= 1")
+
+
+def cohomology_dim(i, k):
+    """Dimension of the degree-i cohomology of the weight-k slice,
+    computed by exact rank over Q.
+    """
+    _check_degree_weight(i, k)
     dim_here = len(weight_slice_basis(i, k))
     rank_out = rank_of_columns(_d0_columns(i, k)) if i < 2 else 0
     rank_in = rank_of_columns(_d0_columns(i - 1, k)) if i > 0 else 0
@@ -164,6 +154,7 @@ def closed_form_dim(i, k):
     """The proven dimensions: floor(k/6) in the parity where the slice
     lives, zero elsewhere, and zero in degree 0.
     """
+    _check_degree_weight(i, k)
     if i == 0:
         return 0
     if i == 1:
@@ -250,15 +241,6 @@ def psi(p):
     return Poly2(out)
 
 
-def theta_relation(a, b):
-    """psi applied to x^a y^b (-x-y)^a; a nonzero result is a linear
-    relation among the grade-1 theta classes of total degree 2a + b.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("strand hair counts must be positive")
-    return psi(substitute_phi(Poly3.monomial((a, b, a))))
-
-
 # -- relation spaces --------------------------------------------------------
 
 
@@ -296,18 +278,10 @@ class RelationVector:
         return "RelationVector(weight=%r, coeffs=%r)" % (
             self.weight, self.coeffs)
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
 
 def generator_count(k):
     """Number of independent bracket generators in weight k."""
     return (k - 4) // 4
-
-
-def relation_count(k):
-    """The proven number of weight-k relations."""
-    return (k - 4) // 4 - (k - 2) // 6
 
 
 def theta_monomials(k):
@@ -325,22 +299,25 @@ def relation_space(k):
     by exact rank in the theta complex: the kernel of the map sending a
     coefficient vector to its class modulo the image of the grade-0
     differential.
+
+    Generator i is the class of x^(2i) y^(k-2-2i).  Since
+    2i < k-2-2i for every i <= (k-4)/4, its normal form is the single
+    term -x^(k-2-2i) y^(2i): the swap of x and y is odd.
     """
     _check_relation_weight(k)
     slice1 = weight_slice_basis(1, k - 1)
     index = {m: i for i, m in enumerate(slice1)}
-    gens = [{index[key]: c for key, c in
-             theta_generator(a // 2, b // 2).value.terms.items()}
-            for a, b in theta_monomials(k)]
+    gens = [{index[(b, a, 0)]: -1} for a, b in theta_monomials(k)]
     image = _d0_columns(0, k - 1)
     kernel = kernel_mod_image(gens, image, len(slice1))
     return [RelationVector(k, tuple(v)) for v in kernel]
 
 
 def _induced_difference(perm, u, v):
-    """induced_action(perm, x^u y^v) - x^u y^v, built from binomials:
-    with (a, b, c) = perm.permute((u, v, 0)) the action gives
-    sign * x^a y^b (-x-y)^c.
+    """perm_*(x^u y^v) - x^u y^v, for the action on two-variable
+    polynomials that the sign action induces through z -> -x - y, built
+    from binomials: with (a, b, c) = perm.permute((u, v, 0)) the action
+    gives sign * x^a y^b (-x-y)^c.
     """
     a, b, c = perm.permute((u, v, 0))
     s = -perm.sign if c % 2 else perm.sign
@@ -371,19 +348,3 @@ def relation_space_psi(k):
             rows.append(row)
     basis = row_space_basis(rows)
     return [RelationVector(k, tuple(v)) for v in basis]
-
-
-def relation_from_poly(k, p):
-    """Read a degree-(k-2) element of the normal-form span as a relation
-    vector; returns None when p is zero.
-    """
-    if p.is_zero():
-        return None
-    monos = set(theta_monomials(k))
-    coeffs = {}
-    for key, c in p.terms.items():
-        if key not in monos:
-            raise ValueError("unexpected monomial x^%d y^%d" % key)
-        coeffs[key] = c
-    return RelationVector(
-        k, tuple(coeffs.get(m, 0) for m in theta_monomials(k)))

@@ -4,14 +4,89 @@ The randomized property checks live here so the per-module tests and the
 acceptance suite exercise exactly the same regimes.
 """
 
-import random
 from fractions import Fraction
+from math import comb
 
 from grt2.liealg import ihara_bracket
 from grt2.linalg import Echelon
-from grt2.perms import S3, induced_action, sign_action
-from grt2.poly import NCPoly, Poly2, Poly3, nc_bracket, substitute_phi
+from grt2.perms import S3
+from grt2.poly import NCPoly, Poly2, Poly3, nc_bracket
 from grt2.theta import psi
+
+
+# -- references written on the polynomial rings ------------------------------
+
+
+def substitute_phi(p):
+    """Ring map Poly3 -> Poly2 with x -> x, y -> y, z -> -x - y.
+
+    Kills exactly the ideal generated by x + y + z, hence computes the
+    canonical representative of p in the quotient by that ideal.
+    """
+    out = {}
+    for (a, b, c), coeff in p.terms.items():
+        # (-x-y)^c = sum_j (-1)^c C(c,j) x^j y^(c-j)
+        for j in range(c + 1):
+            key = (a + j, b + c - j)
+            out[key] = out.get(key, 0) + coeff * (-1) ** c * comb(c, j)
+    return Poly2(out)
+
+
+def evaluate(p, vals):
+    """The value of a commutative polynomial at a point."""
+    total = Fraction(0)
+    for key, coeff in p.terms.items():
+        for val, exp in zip(vals, key):
+            coeff = coeff * val ** exp
+        total += coeff
+    return total
+
+
+def sign_action(perm, p):
+    """Permute exponent triples and multiply by the permutation's parity."""
+    s = perm.sign
+    return Poly3({perm.permute(k): s * c for k, c in p.terms.items()})
+
+
+def plain_action(perm, p):
+    """Permute exponent triples with no sign."""
+    return Poly3({perm.permute(k): c for k, c in p.terms.items()})
+
+
+def induced_action(perm, p):
+    """The action on two-variable polynomials obtained from the sign
+    action by lifting x^a y^b to x^a y^b z^0 and projecting back through
+    z -> -x - y.  Any lift works since the projection kills x + y + z.
+    """
+    lifted = Poly3({(a, b, 0): c for (a, b), c in p.terms.items()})
+    return substitute_phi(sign_action(perm, lifted))
+
+
+def theta_relation(a, b):
+    """psi applied to x^a y^b (-x-y)^a, the seeds of the published
+    tables; a nonzero result is a linear relation among the grade-1
+    theta classes of total degree 2a + b.
+    """
+    return psi(substitute_phi(Poly3.monomial((a, b, a))))
+
+
+def relation_count(k):
+    """The proven number of weight-k relations."""
+    return (k - 4) // 4 - (k - 2) // 6
+
+
+def in_span(vectors, target):
+    """Whether target lies in the linear span of the given vectors."""
+    return Echelon(vectors).add(target) is not None
+
+
+def failed_cases(*check_results):
+    """The names of the failed cases of ``grt2.cli`` graph checks."""
+    return [name for results in check_results
+            for name, ok in results if not ok]
+
+
+# -- random inputs and property routines -------------------------------------
 
 
 def random_poly3(rng, max_degree=6, terms=4):

@@ -4,26 +4,33 @@ Run under pytest (``pytest -s tests/test_acceptance.py``) or directly
 (``python3 tests/test_acceptance.py``); every criterion prints a
 ``criterion N PASS`` line and any failure raises.  All comparisons are
 exact; there are no tolerances anywhere.
+
+Where the command line asserts a claim itself (the oracle cross-check of
+``relations --oracle all`` and the ``graphs --check`` suites), the
+criterion runs that same check from ``grt2.cli``.
 """
 
 import random
 from fractions import Fraction
 
-from grt2.liealg import bracket_kernel, schneps_check
-from grt2.linalg import in_span, normalize_integer_vector, span_equal
+from grt2.cli import (
+    check_bowtie,
+    check_d_squared,
+    check_encoding,
+    check_filtration,
+    check_theta_identity,
+    relations_report,
+)
+from grt2.liealg import schneps_check
+from grt2.linalg import normalize_integer_vector
 from grt2.perms import sign_coinvariant_normal_form
 from grt2.poly import Poly2, Poly3
 from grt2.theta import (
     RelationVector,
-    ThetaElement,
     closed_form_dim,
     cohomology_dim,
-    d0_theta,
     generator_count,
-    relation_count,
     relation_space,
-    relation_space_psi,
-    theta_relation,
 )
 
 from helpers import (
@@ -35,13 +42,29 @@ from helpers import (
     check_ihara_jacobi,
     check_induced_group_laws,
     check_psi_inverse,
+    failed_cases,
+    in_span,
+    plain_action,
+    relation_count,
+    sign_action,
+    theta_relation,
 )
 
 
-def report(number, description, ok):
+def report(number, description, ok, failed=()):
+    """Print the criterion's line and raise unless it passed; ``failed``
+    names the cases that did not.
+    """
     print("criterion %d %s: %s" % (number, "PASS" if ok else "FAIL",
                                    description))
-    assert ok, "criterion %d failed: %s" % (number, description)
+    assert ok, "criterion %d failed: %s%s" % (
+        number, description, "".join("\n  " + case for case in failed))
+
+
+def cross_check_failures(weights):
+    """The failure lines of ``relations --oracle all`` at each weight."""
+    return ["weight %d: %s" % (k, failure) for k in weights
+            for failure in relations_report(k, "all")["failures"]]
 
 
 def test_criterion_1_dimension_theorem():
@@ -77,17 +100,10 @@ def test_criterion_2_relation_tables():
 
 
 def test_criterion_3_bracket_relations():
-    ok = True
+    failed = cross_check_failures(range(8, 30, 2))
+    ok = not failed
     for k in range(8, 30, 2):
-        rank_oracle = [[Fraction(c) for c in v.coeffs]
-                       for v in relation_space(k)]
-        psi_oracle = [[Fraction(c) for c in v.coeffs]
-                      for v in relation_space_psi(k)]
-        ihara_oracle = [[Fraction(c) for c in v.coeffs]
-                        for v in bracket_kernel(k)]
-        ok = ok and span_equal(rank_oracle, psi_oracle)
-        ok = ok and span_equal(rank_oracle, ihara_oracle)
-        ok = ok and len(rank_oracle) == relation_count(k)
+        ok = ok and len(relation_space(k)) == relation_count(k)
     twelve = relation_space(12)
     ok = ok and len(twelve) == 1 and twelve[0].coeffs == (1, -3)
     basis24 = [[Fraction(c) for c in v.coeffs] for v in relation_space(24)]
@@ -97,15 +113,12 @@ def test_criterion_3_bracket_relations():
     ok = ok and in_span(basis24, [Fraction(c)
                                   for c in (-242, 805, -1106, 915, -672)])
     report(3, "the three oracles give identical relation spaces with the "
-              "published counts and vectors", ok)
+              "published counts and vectors", ok, failed)
 
 
 def test_criterion_4_symmetry_criterion():
-    ok = True
-    for k in range(8, 30, 2):
-        for oracle in (relation_space, relation_space_psi, bracket_kernel):
-            for vec in oracle(k):
-                ok = ok and schneps_check(vec)
+    failed = cross_check_failures(range(8, 30, 2))
+    ok = not failed
     rng = random.Random(20260810)
     for k in range(8, 22, 2):
         m = generator_count(k)
@@ -120,26 +133,15 @@ def test_criterion_4_symmetry_criterion():
             found += 1
             ok = ok and not schneps_check(RelationVector(k, vec))
     report(4, "every emitted relation passes the symmetry criterion and "
-              "random non-kernel vectors fail it", ok)
+              "random non-kernel vectors fail it", ok, failed)
 
 
 def test_criterion_5_graph_polynomial_bridge():
     from grt2.graphs.build import theta_graph, theta_shapes
     from grt2.graphs.canon import canonicalize
-    from grt2.graphs.ops import (icg_differential, icg_differential_raw,
-                                 theta_graph_encode, theta_sum_encode)
 
-    ok = True
-    for grade in (0, 1):
-        for counts in theta_shapes(grade, 9):
-            g = theta_graph(grade, counts)
-            first = icg_differential_raw(g)
-            image = theta_sum_encode(first)
-            lhs = image.get(grade + 1,
-                            ThetaElement(grade + 1, Poly3.zero()))
-            rhs = d0_theta(theta_graph_encode(g))
-            ok = ok and lhs.value == rhs.value
-            ok = ok and icg_differential(first).is_zero()
+    failed = failed_cases(check_d_squared(9), check_encoding(9))
+    ok = not failed
     # the vanishing classes land on both sides in the same place
     for grade in (0, 1, 2):
         for counts in theta_shapes(grade, 9):
@@ -151,48 +153,18 @@ def test_criterion_5_graph_polynomial_bridge():
                     Poly3.monomial(counts)).is_zero()
             ok = ok and (cls is None) == lemma_zero
     report(5, "graph splitting matches the polynomial differential on "
-              "every theta shape of weight <= 9, with d0^2 = 0", ok)
+              "every theta shape of weight <= 9, with d0^2 = 0", ok, failed)
 
 
 def test_criterion_6_graph_identities():
-    from grt2.graphs.build import figure_eight, theta_graph
-    from grt2.graphs.canon import canonicalize
-    from grt2.graphs.core import GraphSum
-    from grt2.graphs.ops import (bowtie_difference, filtration_value,
-                                 gc2_bracket, icg_differential_raw,
-                                 mark_one_external, two_loop_part,
-                                 wheel_class)
-
-    ok = True
-    for i2, j2 in ((2, 4), (2, 6), (4, 6)):
-        image = icg_differential_raw(figure_eight(i2, j2))
-        cls, sign = canonicalize(theta_graph(1, (i2, j2, 0)))
-        marked = two_loop_part(
-            mark_one_external(bowtie_difference(i2 + 1, j2 + 1)))
-        ok = ok and image == marked + GraphSum({cls: 4 * sign})
-    from grt2.graphs.build import wheel
-
-    for spokes in (3, 5, 7):
-        ok = ok and filtration_value(wheel(spokes)) == 1
-    br35 = gc2_bracket(wheel_class(3), wheel_class(5))
-    br37 = gc2_bracket(wheel_class(3), wheel_class(7))
-    for br in (br35, br37):
-        ok = ok and not br.is_zero()
-        ok = ok and all(filtration_value(c.graph) >= 2 for c in br.terms)
-    level2 = br35.restrict(lambda c: filtration_value(c.graph) == 2)
-    diff = bowtie_difference(3, 5)
-    ok = ok and set(level2.terms) == set(diff.terms)
-    if ok:
-        ratios = {Fraction(level2.terms[c], diff.terms[c])
-                  for c in diff.terms}
-        ok = len(ratios) == 1 and 0 not in ratios
+    failed = failed_cases(check_theta_identity(None), check_filtration(11),
+                          check_bowtie(None))
     report(6, "splitting, filtration and bowtie identities hold on the "
-              "graph side", ok)
+              "graph side", not failed, failed)
 
 
 def test_criterion_7_property_suites():
     from grt2.graphs.build import figure_eight, theta_graph, wheel
-    from grt2.perms import plain_action, sign_action
 
     rng = random.Random(77)
     check_group_laws(sign_action, rng)

@@ -229,6 +229,22 @@ def test_graphs_cap_the_check_cannot_honour_is_usage_error(
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("graphs", "--check", "filtration", "--size-cap", "9"),
+    ("graphs", "--check", "bowtie"),
+])
+def test_zero_wheel_bracket_fails(capsys, monkeypatch, argv):
+    # "every term at filtration level >= 2" holds vacuously for a zero
+    # bracket; a bracket that came out zero must fail the check instead
+    from grt2.graphs import ops
+    from grt2.graphs.core import GraphSum
+
+    monkeypatch.setattr(ops, "gc2_bracket", lambda s1, s2: GraphSum())
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "FAIL  [w3,w5] every term at filtration level >= 2\n" in out
+
+
 def test_deterministic_output(capsys):
     _, first = run_cli(capsys, "relations", "--weight", "16")
     _, second = run_cli(capsys, "relations", "--weight", "16")

@@ -14,7 +14,7 @@ from grt2.graphs import (
 )
 from grt2.graphs import canon
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
-from grt2.graphs.core import gc2_degree, icg_check, icg_degree, weight
+from grt2.graphs.core import gc2_degree, icg_check
 from helpers import check_canonicalize_invariance
 
 
@@ -25,6 +25,15 @@ def test_graph_validation():
         Graph(2, (False,), ((0, 1),))  # flag length
     g = Graph(2, (True, False), ((1, 0),))
     assert g.edges == ((0, 1),)  # endpoints are stored sorted
+
+
+def test_graph_stores_ext_as_tuple():
+    # a list of flags is copied to a tuple, so the graph hashes and
+    # canonicalizes like one built from a tuple
+    w3 = wheel(3)
+    g = Graph(4, [False] * 4, w3.edges)
+    assert g.ext == (False,) * 4 and g == w3 and hash(g) == hash(w3)
+    assert canonicalize(g) == canonicalize(w3)
 
 
 def test_admissibility_names_condition():
@@ -40,9 +49,10 @@ def test_admissibility_names_condition():
 
 
 def test_degrees_and_weight():
+    # the weight of a graph with one external vertex is that vertex's
+    # valence
     theta = theta_graph(1, (2, 4, 0))
-    assert icg_degree(theta) == 1
-    assert weight(theta) == 7
+    assert theta.valences()[0] == 7
     w3 = wheel(3)
     assert gc2_degree(w3) == 0
     assert w3.n == 4 and w3.num_edges == 6
@@ -61,9 +71,16 @@ def test_wheel_rejects_even():
 def test_theta_graph_shape():
     g = theta_graph(0, (2, 3, 4))
     assert g.n == 12  # external + two junctions + nine strand vertices
-    assert weight(g) == 11
+    assert g.valences()[0] == 11
     with pytest.raises(ValueError):
         theta_graph(1, (0, 0, 3))
+
+
+@pytest.mark.parametrize("grade", [5, -1])
+def test_theta_shapes_rejects_bad_grade(grade):
+    # the error theta_graph raises, instead of a list of shapes
+    with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
+        theta_shapes(grade, 6)
 
 
 def test_edge_transposition_flips_sign():

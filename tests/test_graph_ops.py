@@ -6,31 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grt2.cli import (
+    check_bowtie,
+    check_d_squared,
+    check_encoding,
+    check_filtration,
+    check_theta_identity,
+)
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
 from grt2.graphs.core import Graph, GraphSum, icg_check
 from grt2.graphs.ops import (
     bowtie,
-    bowtie_difference,
     filtration_value,
     gc2_bracket,
     icg_differential,
     icg_differential_raw,
     insert_at,
     internal_loop_count,
-    is_one_vertex_irreducible,
-    mark_one_external,
     mark_one_external_raw,
     pre_lie_raw,
     split_terms,
     theta_graph_encode,
-    theta_sum_encode,
     two_loop_part,
     wheel_class,
 )
 from grt2.poly import Poly3
-from grt2.theta import ThetaElement, d0_theta
 from grt2.perms import sign_coinvariant_normal_form
+from helpers import failed_cases, in_span
 
 
 def test_internal_loop_count():
@@ -51,37 +54,11 @@ def test_filtration_values():
     assert filtration_value(prism) == 3
 
 
-def test_one_vertex_irreducibility():
-    assert is_one_vertex_irreducible(wheel(3))
-    assert is_one_vertex_irreducible(wheel(5))
-    two_triangles = Graph(
-        5, (False,) * 5,
-        ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)))
-    assert not is_one_vertex_irreducible(two_triangles)
-    edge = Graph(2, (False, False), ((0, 1),))
-    assert is_one_vertex_irreducible(edge)
-
-
-def test_d_squared_loop_preserving():
-    for grade in (0, 1):
-        for counts in theta_shapes(grade, 9):
-            first = icg_differential_raw(theta_graph(grade, counts))
-            assert icg_differential(first).is_zero(), (grade, counts)
-
-
 def test_d_squared_and_bridge_through_weight_12():
     # d0^2 = 0 and encode(d0 g) = d0(encode g) on every grade-0 and
-    # grade-1 theta shape of weight at most 12
-    for grade in (0, 1):
-        for counts in theta_shapes(grade, 12):
-            g = theta_graph(grade, counts)
-            first = icg_differential_raw(g)
-            assert icg_differential(first).is_zero(), (grade, counts)
-            image = theta_sum_encode(first)
-            lhs = image.get(grade + 1,
-                            ThetaElement(grade + 1, Poly3.zero()))
-            rhs = d0_theta(theta_graph_encode(g))
-            assert lhs.value == rhs.value, (grade, counts)
+    # grade-1 theta shape of weight at most 12: the `graphs --check
+    # d-squared` and `encoding` suites at their default cap
+    assert not failed_cases(check_d_squared(12), check_encoding(12))
 
 
 def test_split_terms_counts():
@@ -199,17 +176,6 @@ def test_d_squared_full_differential():
         assert icg_differential(image, loop_preserving=False).is_zero()
 
 
-def test_differential_matches_polynomial_model():
-    for grade in (0, 1):
-        for counts in theta_shapes(grade, 9):
-            g = theta_graph(grade, counts)
-            image = theta_sum_encode(icg_differential_raw(g))
-            lhs = image.get(grade + 1,
-                            ThetaElement(grade + 1, Poly3.zero()))
-            rhs = d0_theta(theta_graph_encode(g))
-            assert lhs.value == rhs.value, (grade, counts)
-
-
 def test_vanishing_classes_match_lemma():
     # graph classes vanish exactly when the polynomial model says so
     for grade in (0, 1, 2):
@@ -276,20 +242,12 @@ def test_gc2_bracket_jacobi_truncated():
 
 
 def test_bracket_filtration_additivity():
-    for a, b in ((3, 5), (3, 7)):
-        br = gc2_bracket(wheel_class(a), wheel_class(b))
-        assert not br.is_zero()
-        assert all(filtration_value(c.graph) >= 2 for c in br.terms), (a, b)
+    # [w3,w5] and [w3,w7] are nonzero with every term at level >= 2
+    assert not failed_cases(check_filtration(11))
 
 
 def test_bracket_level2_is_bowtie_difference():
-    br = gc2_bracket(wheel_class(3), wheel_class(5))
-    level2 = br.restrict(lambda c: filtration_value(c.graph) == 2)
-    diff = bowtie_difference(3, 5)
-    assert set(level2.terms) == set(diff.terms)
-    ratios = {Fraction(level2.terms[c], diff.terms[c]) for c in diff.terms}
-    assert len(ratios) == 1
-    assert 0 not in ratios
+    assert not failed_cases(check_bowtie(None))
 
 
 # The 4-spoke wheel: a rim reflection is an odd automorphism, so its
@@ -377,12 +335,7 @@ def test_insertion_counts():
 
 
 def test_theta_identity():
-    for i2, j2 in ((2, 4), (2, 6), (4, 6)):
-        image = icg_differential_raw(figure_eight(i2, j2))
-        cls, sign = canonicalize(theta_graph(1, (i2, j2, 0)))
-        marked = two_loop_part(
-            mark_one_external(bowtie_difference(i2 + 1, j2 + 1)))
-        assert image == marked + GraphSum({cls: 4 * sign}), (i2, j2)
+    assert not failed_cases(check_theta_identity(None))
 
 
 def mark_one_external_reference(g):
@@ -439,7 +392,6 @@ def test_relation_is_boundary_on_graph_side():
     # with the polynomial and bracket derivations end to end
     from fractions import Fraction as F
 
-    from grt2.linalg import in_span
     from grt2.theta import weight_slice_basis
 
     target = GraphSum.zero()

@@ -14,20 +14,17 @@ from grt2.liealg import (
     schneps_check,
     symmetry_polynomial,
 )
-from grt2.linalg import kernel_mod_image, span_equal
-from grt2.perms import CYCLE_123, CYCLE_132, SWAP_13, plain_action
+from grt2.cli import relations_report
+from grt2.linalg import kernel_mod_image
+from grt2.perms import CYCLE_123, CYCLE_132, SWAP_13
 from grt2.poly import NCPoly, Poly3
-from grt2.theta import (
-    RelationVector,
-    generator_count,
-    relation_count,
-    relation_space,
-    relation_space_psi,
-)
+from grt2.theta import RelationVector, generator_count, relation_space
 from helpers import (
     check_ihara_antisymmetry,
     check_ihara_depth_additivity,
     check_ihara_jacobi,
+    plain_action,
+    relation_count,
 )
 
 
@@ -190,17 +187,15 @@ def test_bracket_kernel_counts():
 
 
 def test_kernel_agreement_with_rank_oracle():
+    # the cross-check of `relations --oracle all`: span agreement of the
+    # three oracles and the symmetry criterion on every vector
     for k in range(8, 30, 2):
-        a = [[Fraction(c) for c in v.coeffs] for v in relation_space(k)]
-        b = [[Fraction(c) for c in v.coeffs] for v in bracket_kernel(k)]
-        assert span_equal(a, b), k
-        for v in bracket_kernel(k):
-            assert schneps_check(v), (k, v)
+        assert relations_report(k, "all")["failures"] == [], k
 
 
 def test_encoded_generator_degree():
     enc = encoded_bracket_generator(1, 12)
-    assert enc.degrees() == [10]
+    assert {sum(key) for key in enc.terms} == {10}
 
 
 def test_encoded_bracket_generator_matches_word_level_reference():
@@ -240,14 +235,9 @@ def test_encoded_bracket_generator_rejects_bad_index(i, k, message):
 
 
 def test_oracles_agree_weights_30_to_110():
-    # a wider range than the published one; the symmetry criterion is
-    # linear, so checking one basis of the common span covers all three
+    # a wider range than the published one, through the cross-check of
+    # `relations --oracle all`
     for k in range(30, 111, 2):
-        vecs = relation_space(k)
-        base = [[Fraction(c) for c in v.coeffs] for v in vecs]
-        assert len(base) == relation_count(k), k
-        for oracle in (relation_space_psi, bracket_kernel):
-            other = [[Fraction(c) for c in v.coeffs] for v in oracle(k)]
-            assert span_equal(base, other), (k, oracle.__name__)
-        for v in vecs:
-            assert schneps_check(v), (k, v)
+        report = relations_report(k, "all")
+        assert report["failures"] == [], (k, report["failures"])
+        assert len(report["vectors"]["rank"]) == relation_count(k), k

@@ -7,23 +7,22 @@ from hypothesis import strategies as st
 
 from grt2.linalg import (
     Echelon,
-    in_span,
     kernel_mod_image,
     normalize_integer_vector,
     nullspace,
-    rank,
     rank_of_columns,
     row_space_basis,
     rref,
     span_equal,
 )
+from helpers import in_span
 
 
 def test_rref_and_rank():
     mat = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     reduced, pivots = rref(mat)
     assert pivots == [0, 1]
-    assert rank(mat) == 2
+    assert rank_of_columns(mat) == 2
 
 
 def test_nullspace():
@@ -49,9 +48,23 @@ def test_in_span_and_span_equal():
 @pytest.mark.parametrize("bad", [0.1, "1/3"])
 def test_inexact_entry_is_rejected(bad):
     with pytest.raises(ValueError, match="entry 0 .*" + repr(bad)):
-        rank([[bad, 1], [1, 2]])
+        rank_of_columns([[bad, 1], [1, 2]])
     with pytest.raises(ValueError, match="entry 3 "):
         Echelon([{0: 1}]).add({0: 1, 3: bad})
+
+
+@pytest.mark.parametrize("function", [rref, nullspace, row_space_basis],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [0, 0, 5]], "row 1 has length 3, expected 2"),
+    ([[1, 2, 3], [0, 5]], "row 1 has length 2, expected 3"),
+    ([[1], [2], []], "row 2 has length 0, expected 1"),
+], ids=["long", "short", "empty"])
+def test_ragged_matrix_is_rejected(function, rows, message):
+    # the width is read off the first row; a row of another length used
+    # to be padded, truncated or read past its end
+    with pytest.raises(ValueError, match=message):
+        function(rows)
 
 
 def test_kernel_mod_image():
@@ -96,7 +109,7 @@ def test_sparse_rank_matches_dense():
         {0: 1, 1: 1, 2: 2},
     ]
     dense = [[col.get(r, 0) for col in cols] for r in range(3)]
-    assert rank_of_columns(cols) == rank(dense) == 2
+    assert rank_of_columns(cols) == rank_of_columns(dense) == 2
     assert reference_rank(dense) == 2
     assert rank_of_columns([]) == 0
     assert rank_of_columns([{}]) == 0
@@ -156,10 +169,11 @@ def matrices(draw, max_rows=6, max_cols=6):
 @given(matrices())
 def test_rank_matches_reference_and_transpose(mat):
     rows, ncols = mat
-    assert rank(rows) == reference_rank(rows)
-    assert rank(rows) == rank(transpose(rows, ncols))
+    rank = rank_of_columns(rows)
+    assert rank == reference_rank(rows)
+    assert rank == rank_of_columns(transpose(rows, ncols))
     columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
-    assert rank_of_columns(columns) == rank(rows)
+    assert rank_of_columns(columns) == rank
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from grt2.linalg import in_span, span_equal
-from grt2.perms import IDENTITY, S3, induced_action
+from grt2.linalg import span_equal
+from grt2.perms import IDENTITY, S3
 from grt2.poly import Poly2, Poly3
 from grt2.theta import (
     _d0_columns,
@@ -19,16 +19,18 @@ from grt2.theta import (
     d0_theta,
     generator_count,
     psi,
-    relation_count,
-    relation_from_poly,
     relation_space,
     relation_space_psi,
-    theta_generator,
     theta_monomials,
-    theta_relation,
     weight_slice_basis,
 )
-from helpers import check_psi_inverse
+from helpers import (
+    check_psi_inverse,
+    in_span,
+    induced_action,
+    relation_count,
+    theta_relation,
+)
 
 # the published relation table: seed exponents -> exact projection image
 PUBLISHED_RELATIONS = {
@@ -55,7 +57,6 @@ def test_theta_element_validation():
         ThetaElement(2, Poly3.monomial((2, 1, 0)))  # odd degree in grade 2
     elem = ThetaElement(1, Poly3.monomial((2, 3, 0)))
     assert elem.value == Poly3({(3, 2, 0): -1})  # normalized on entry
-    assert elem.weights() == [6]
 
 
 def test_d0_grade0_example():
@@ -105,6 +106,17 @@ def test_cohomology_dims_small():
     for k in range(1, 26):
         for i in (0, 1, 2):
             assert cohomology_dim(i, k) == closed_form_dim(i, k), (i, k)
+
+
+@pytest.mark.parametrize("i, k, message", [
+    (5, 7, "degree must be 0, 1 or 2"),
+    (-1, 6, "degree must be 0, 1 or 2"),
+    (1, 0, "weight must be >= 1"),
+])
+def test_closed_form_dim_rejects_what_cohomology_dim_rejects(i, k, message):
+    for dim in (cohomology_dim, closed_form_dim):
+        with pytest.raises(ValueError, match=message):
+            dim(i, k)
 
 
 def test_cohomology_dims_match_closed_form_through_101():
@@ -222,12 +234,6 @@ def test_theta_relation_zero_seed_is_legal():
     assert theta_relation(1, 2).is_zero()
 
 
-def test_theta_generator():
-    assert theta_generator(1, 2).value == Poly3({(4, 2, 0): -1})
-    assert theta_generator(2, 2).value.is_zero()
-    assert theta_generator(1, 1).value.is_zero()
-
-
 def test_relation_vector_normalization():
     rv = RelationVector(12, (Fraction(-1, 2), Fraction(3, 2)))
     assert rv.coeffs == (1, -3)
@@ -287,14 +293,15 @@ def test_psi_rows_match_induced_action_through_weight_60():
 def test_theta_relation_lands_in_relation_space():
     for k in range(8, 26, 2):
         basis = [[Fraction(c) for c in v.coeffs] for v in relation_space(k)]
+        monos = theta_monomials(k)
         for a in range(1, (k - 2) // 2):
             b = k - 2 - 2 * a
             if b < 1:
                 continue
-            rv = relation_from_poly(k, theta_relation(a, b))
-            if rv is None:
-                continue
-            assert in_span(basis, [Fraction(c) for c in rv.coeffs]), (k, a)
+            image = theta_relation(a, b)
+            assert set(image.terms) <= set(monos), (k, a)
+            vec = [image.coeff(m) for m in monos]
+            assert in_span(basis, vec), (k, a)
 
 
 def test_generator_bookkeeping():
