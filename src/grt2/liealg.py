@@ -15,15 +15,18 @@ acts by plainly permuting exponents, and a coefficient vector gives a
 relation if and only if the encoded sum G satisfies both symmetry
 conditions G + (13).G = 0 and G + (123).G + (132).G = 0.
 
-Every word of ad_x^n(y) has one y, with coefficient (-1)^u C(n, u), so
-the depth-2 encoding of a bracket of two adjoint powers is a sum of
-binomial products; :func:`encoded_bracket_generator` builds it from
-them.  The word-level definition (:func:`ad_power`,
+Both the bracket kernel and the symmetry check work in the difference
+variables X = alpha-beta and Y = beta-gamma.  Every word of ad_x^n(y)
+has one y, with coefficient (-1)^u C(n, u), so the encoded product of
+two adjoint powers ad_x^A(y) ad_x^B(y) is X^A Y^B, and the encoded
+bracket of two of them is a binary form of degree A+B whose
+coefficients are short signed sums of binomials
+(:func:`encoded_bracket_xy`); the bracket kernel is taken over those
+k-1 coefficients.  The word-level definition (:func:`ad_power`,
 :func:`ihara_bracket`, :func:`depth2_encode`) is kept as its reference.
 
-:func:`schneps_check` works in the difference variables X = alpha-beta
-and Y = beta-gamma, in which G = sum_i a_i X^(2i) Y^(k-2-2i) is a binary
-form of degree k-2 whose coefficients are the a_i themselves.  Written
+In the same variables G = sum_i a_i X^(2i) Y^(k-2-2i) is a binary form
+of degree k-2 whose coefficients are the a_i themselves.  Written
 as substitutions, (13) sends X to -Y and Y to -X, and the two 3-cycles
 send X to Y, Y to -X-Y and X to -X-Y, Y to X.  X and Y are
 algebraically independent, so Q[X, Y] embeds in Q[alpha, beta, gamma],
@@ -93,26 +96,17 @@ def depth2_encode(p):
     return Poly3(out)
 
 
-def _signed_binomials(n):
-    """The coefficients (-1)^u C(n, u), u = 0 .. n, of ad_x^n(y)."""
-    row = [1]
-    for u in range(n):
-        row.append(-row[-1] * (n - u) // (u + 1))
-    return row
-
-
-def encoded_bracket_generator(i, k):
+def encoded_bracket_xy(i, k):
     """Depth-2 encoding of the bracket of the leading terms of the
-    weight-(2i+1) and weight-(k-1-2i) generators.
+    weight-(2i+1) and weight-(k-1-2i) generators, as a binary form in the
+    difference variables: a dict from j to the coefficient of
+    X^j Y^(k-2-j), zeros dropped.
 
-    With f = ad_x^A(y), g = ad_x^B(y), A = 2i, B = k-2-2i and
-    c = (-1)^(u+v) C(A,u) C(B,v), the word pair (u, v) gives the six
-    two-y words below, encoded as (alpha, beta, gamma) exponents: two
-    from D_f(g), two from -D_g(f) and two from [f, g].  This equals
-    depth2_encode(ihara_bracket(ad_power(A), ad_power(B))).  Summed over
-    (u, v), the six families are (X+Y)^B (Y^A - X^A),
-    -(X+Y)^A (Y^B - X^B) and X^A Y^B - X^B Y^A in the difference
-    variables X = alpha-beta and Y = beta-gamma.
+    With f = ad_x^A(y), g = ad_x^B(y), A = 2i and B = k-2-2i, the two-y
+    words of D_f(g), -D_g(f) and [f, g] encode to (X+Y)^B (Y^A - X^A),
+    -(X+Y)^A (Y^B - X^B) and X^A Y^B - X^B Y^A; expanded through
+    X = alpha-beta and Y = beta-gamma their sum is
+    depth2_encode(ihara_bracket(ad_power(A), ad_power(B))).
     """
     if k % 2 or k < 8:
         raise ValueError("no bracket generator at weight k=%d (i=%d): the "
@@ -122,36 +116,29 @@ def encoded_bracket_generator(i, k):
         raise ValueError("bracket generator index i=%d is outside 1..%d at "
                          "weight k=%d" % (i, m, k))
     a, b = 2 * i, k - 2 - 2 * i
-    fb = _signed_binomials(b)
-    terms = {}
-    get = terms.get
-    for u, cu in enumerate(_signed_binomials(a)):
-        for v, cv in enumerate(fb):
-            c = cu * cv
-            s = u + v
-            for key, x in (((b - v, a - u, s), c), ((a + b - s, u, v), -c),
-                           ((a - u, b - v, s), -c), ((a + b - s, v, u), c),
-                           ((a - u, u + b - v, v), c),
-                           ((b - v, v + a - u, u), -c)):
-                terms[key] = get(key, 0) + x
-    return Poly3(terms)
+    col = {a: 1, b: -1}  # X^A Y^B - X^B Y^A
+    for n, e, s in ((b, a, 1), (a, b, -1)):
+        for t in range(n + 1):  # s C(n, t) X^t Y^(n-t) (Y^e - X^e)
+            c = s * comb(n, t)
+            col[t] = col.get(t, 0) + c
+            col[e + t] = col.get(e + t, 0) - c
+    return {j: c for j, c in col.items() if c}
 
 
 def bracket_kernel(k):
     """Relations among the weight-k bracket generators, computed as the
     exact kernel of the depth-2 encodings of the leading-term brackets.
 
-    Each encoding is a binary form in the difference variables (see
-    :func:`encoded_bracket_generator`), and setting gamma = 0 maps
-    Q[X, Y] injectively, X to alpha-beta and Y to beta, so a combination
-    of encodings vanishes exactly when its gamma-free part does: the
-    kernel is taken over the k-1 monomials alpha^p beta^(k-2-p).
+    Each encoding is taken as its k-1 coefficients in the difference
+    variables X and Y (see :func:`encoded_bracket_xy`).  X and Y are
+    algebraically independent, so Q[X, Y] embeds in
+    Q[alpha, beta, gamma], and a combination of encodings vanishes
+    exactly when its X, Y coefficients do: the kernel, and so its reduced
+    echelon basis, is the one over the alpha, beta, gamma monomials.
     """
     _check_relation_weight(k)
-    m = generator_count(k)
-    cols = [{p: c for (p, _, r), c in
-             encoded_bracket_generator(i, k).terms.items() if r == 0}
-            for i in range(1, m + 1)]
+    cols = [encoded_bracket_xy(i, k)
+            for i in range(1, generator_count(k) + 1)]
     basis = kernel_mod_image(cols, [], k - 1)
     return [RelationVector(k, tuple(v)) for v in basis]
 

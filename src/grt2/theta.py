@@ -27,8 +27,7 @@ from .linalg import (
     row_space_basis,
 )
 from .perms import (
-    S3,
-    IDENTITY,
+    CYCLE_123,
     is_normal_form,
     sign_coinvariant_normal_form,
 )
@@ -218,23 +217,32 @@ def _psi_monomial(a, b):
     return tuple(out)
 
 
-def psi(p):
-    """Linear projection of an even two-variable polynomial onto the span
-    of x^a y^b with 0 <= a <= b both even.
-
-    The cached images are scaled by D(n) (see :func:`_psi_scale`), so
-    the sum is taken over them and each output monomial of degree n is
-    divided by D(n) once.
+def _psi_scaled(terms):
+    """The image under psi of the polynomial with the given terms, each
+    output monomial of degree n still multiplied by D(n): the sum of the
+    cached images of :func:`_psi_monomial`, as a dict that may hold
+    zeros.  Its values are ints when the coefficients are.
     """
     acc = {}
-    for (a, b), coeff in p.terms.items():
+    for (a, b), coeff in terms.items():
         if (a + b) % 2 != 0:
             raise ValueError(
                 "psi is defined on even polynomials; got x^%d y^%d" % (a, b))
         for key, c in _psi_monomial(a, b):
             acc[key] = acc.get(key, 0) + coeff * c
+    return acc
+
+
+def psi(p):
+    """Linear projection of an even two-variable polynomial onto the span
+    of x^a y^b with 0 <= a <= b both even.
+
+    The sum is taken over the D(n)-scaled cached images (see
+    :func:`_psi_scale` and :func:`_psi_scaled`), and each output
+    monomial of degree n is divided by D(n) once.
+    """
     out = {}
-    for key, c in acc.items():
+    for key, c in _psi_scaled(p.terms).items():
         d = _psi_scale(key[0] + key[1])
         q, r = divmod(c, d)
         out[key] = Fraction(c, d) if r else q
@@ -314,36 +322,42 @@ def relation_space(k):
 
 
 def _induced_difference(perm, u, v):
-    """perm_*(x^u y^v) - x^u y^v, for the action on two-variable
-    polynomials that the sign action induces through z -> -x - y, built
-    from binomials: with (a, b, c) = perm.permute((u, v, 0)) the action
-    gives sign * x^a y^b (-x-y)^c.
+    """perm_*(x^u y^v) - x^u y^v as a dict of exponent pairs to ints, for
+    the action on two-variable polynomials that the sign action induces
+    through z -> -x - y, built from binomials: with
+    (a, b, c) = perm.permute((u, v, 0)) the action gives
+    sign * x^a y^b (-x-y)^c.
     """
     a, b, c = perm.permute((u, v, 0))
     s = -perm.sign if c % 2 else perm.sign
     terms = {(a + j, b + c - j): s * comb(c, j) for j in range(c + 1)}
     terms[(u, v)] = terms.get((u, v), 0) - 1
-    return Poly2(terms)
+    return terms
 
 
 def relation_space_psi(k):
-    """The same space derived through the recursive projection: the
-    degree-(k-2) slice of the span of psi(sigma_* v) - psi(v), one row
-    psi(sigma_* v - v) per monomial v and non-identity sigma.
+    """The same space derived through the recursive projection: the span
+    of psi(sigma_* v - v) over the monomials v of degree k-2 and every
+    sigma in S3, built from one row psi((123)_* v - v) per monomial.
+
+    The monomials of degree k-2 span a space V that the induced action
+    maps to itself, so the span of sigma_* v - v over S3 is the span over
+    the generators (12) and (123), by telescoping:
+    st.v - v = s.(t.v) - t.v + (t.v - v), with t.v again in V.  The (12)
+    rows vanish under psi: (12)_* x^u y^v = -x^v y^u, and
+    psi(x^b y^a) = -psi(x^a y^b).  Every row is summed in ints scaled by
+    the common factor D(k-2) (see :func:`_psi_scaled`), which leaves the
+    row space unchanged.
     """
     _check_relation_weight(k)
     monos = theta_monomials(k)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for u in range(k - 1):
-        for perm in S3:
-            if perm == IDENTITY:
-                continue
-            moved = psi(_induced_difference(perm, u, k - 2 - u))
-            if moved.is_zero():
-                continue
+        moved = _psi_scaled(_induced_difference(CYCLE_123, u, k - 2 - u))
+        if any(moved.values()):
             row = [0] * len(monos)
-            for key, c in moved.terms.items():
+            for key, c in moved.items():
                 row[index[key]] = c
             rows.append(row)
     basis = row_space_basis(rows)

@@ -8,10 +8,10 @@ from fractions import Fraction
 from math import comb
 
 from grt2.liealg import ihara_bracket
-from grt2.linalg import Echelon
-from grt2.perms import S3
+from grt2.linalg import Echelon, row_space_basis
+from grt2.perms import IDENTITY, S3
 from grt2.poly import NCPoly, Poly2, Poly3, nc_bracket
-from grt2.theta import psi
+from grt2.theta import RelationVector, generator_count, psi, theta_monomials
 
 
 # -- references written on the polynomial rings ------------------------------
@@ -68,6 +68,85 @@ def theta_relation(a, b):
     theta classes of total degree 2a + b.
     """
     return psi(substitute_phi(Poly3.monomial((a, b, a))))
+
+
+def relation_space_psi_all_perms(k):
+    """The psi oracle with one row psi(sigma_* v - v) per monomial v of
+    degree k-2 and per non-identity sigma in S3, the action taken through
+    :func:`induced_action`.
+    """
+    monos = theta_monomials(k)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for u in range(k - 1):
+        base = Poly2.monomial((u, k - 2 - u))
+        for perm in S3:
+            if perm == IDENTITY:
+                continue
+            moved = psi(induced_action(perm, base) - base)
+            if not moved.is_zero():
+                row = [0] * len(monos)
+                for key, c in moved.terms.items():
+                    row[index[key]] = c
+                rows.append(row)
+    return [RelationVector(k, tuple(v)) for v in row_space_basis(rows)]
+
+
+def _signed_binomials(n):
+    """The coefficients (-1)^u C(n, u), u = 0 .. n, of ad_x^n(y)."""
+    row = [1]
+    for u in range(n):
+        row.append(-row[-1] * (n - u) // (u + 1))
+    return row
+
+
+def encoded_bracket_generator(i, k):
+    """Depth-2 encoding of the bracket of the leading terms of the
+    weight-(2i+1) and weight-(k-1-2i) generators, as a Poly3 in alpha,
+    beta, gamma.
+
+    With f = ad_x^A(y), g = ad_x^B(y), A = 2i, B = k-2-2i and
+    c = (-1)^(u+v) C(A,u) C(B,v), the word pair (u, v) gives the six
+    two-y words below, encoded as (alpha, beta, gamma) exponents: two
+    from D_f(g), two from -D_g(f) and two from [f, g].  This equals
+    depth2_encode(ihara_bracket(ad_power(A), ad_power(B))).
+    """
+    if k % 2 or k < 8:
+        raise ValueError("no bracket generator at weight k=%d (i=%d): the "
+                         "weight must be even and >= 8" % (k, i))
+    m = generator_count(k)
+    if not 1 <= i <= m:
+        raise ValueError("bracket generator index i=%d is outside 1..%d at "
+                         "weight k=%d" % (i, m, k))
+    a, b = 2 * i, k - 2 - 2 * i
+    fb = _signed_binomials(b)
+    terms = {}
+    get = terms.get
+    for u, cu in enumerate(_signed_binomials(a)):
+        for v, cv in enumerate(fb):
+            c = cu * cv
+            s = u + v
+            for key, x in (((b - v, a - u, s), c), ((a + b - s, u, v), -c),
+                           ((a - u, b - v, s), -c), ((a + b - s, v, u), c),
+                           ((a - u, u + b - v, v), c),
+                           ((b - v, v + a - u, u), -c)):
+                terms[key] = get(key, 0) + x
+    return Poly3(terms)
+
+
+def expand_xy(coeffs, d):
+    """sum_j coeffs[j] X^j Y^(d-j) as a Poly3 in alpha, beta, gamma, with
+    X = alpha - beta and Y = beta - gamma, by the binomial theorem.
+    """
+    terms = {}
+    for j, c in coeffs.items():
+        for p in range(j + 1):
+            cp = c * comb(j, p) * (-1) ** (j - p)
+            for q in range(d - j + 1):
+                key = (p, j - p + q, d - j - q)
+                terms[key] = terms.get(key, 0) \
+                    + cp * comb(d - j, q) * (-1) ** (d - j - q)
+    return Poly3(terms)
 
 
 def relation_count(k):

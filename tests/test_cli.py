@@ -77,6 +77,20 @@ def test_relations_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_40_SHA256
 
 
+# sha256 of the stdout of `relations --weight 200 --oracle all`, recorded
+# while the psi oracle built five rows per monomial and the Ihara oracle
+# took its kernel over the alpha, beta, gamma monomials
+RELATIONS_200_SHA256 = \
+    "93d8b36213591ecf5d596cdb36fd5e0cb12e1304e6c6ebf1d8c52a8dc50e2527"
+
+
+def test_relations_weight_200_pinned(capsys):
+    code, out = run_cli(capsys, "relations", "--weight", "200",
+                        "--oracle", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_200_SHA256
+
+
 # sha256 of the stdout of every `graphs --check` suite at the default
 # cap and, where the suite takes one, at `--size-cap 9`, recorded while
 # graph-sum coefficients were still `Fraction`s; the text must not

@@ -8,7 +8,7 @@ from grt2.liealg import (
     apply_derivation,
     bracket_kernel,
     depth2_encode,
-    encoded_bracket_generator,
+    encoded_bracket_xy,
     extend_coefficients,
     ihara_bracket,
     schneps_check,
@@ -23,6 +23,8 @@ from helpers import (
     check_ihara_antisymmetry,
     check_ihara_depth_additivity,
     check_ihara_jacobi,
+    encoded_bracket_generator,
+    expand_xy,
     plain_action,
     relation_count,
 )
@@ -193,24 +195,22 @@ def test_kernel_agreement_with_rank_oracle():
         assert relations_report(k, "all")["failures"] == [], k
 
 
-def test_encoded_generator_degree():
-    enc = encoded_bracket_generator(1, 12)
-    assert {sum(key) for key in enc.terms} == {10}
-
-
-def test_encoded_bracket_generator_matches_word_level_reference():
-    # the binomial closed form against the NCPoly definition, for every
-    # generator of every even weight 8..40
+def test_encoded_bracket_xy_matches_word_level_reference():
+    # the X, Y coefficients expanded through X = alpha-beta and
+    # Y = beta-gamma, and the alpha, beta, gamma reference, against the
+    # NCPoly definition, for every generator of every even weight 8..40
     for k in range(8, 41, 2):
         for i in range(1, generator_count(k) + 1):
             expect = depth2_encode(
                 ihara_bracket(ad_power(2 * i), ad_power(k - 2 - 2 * i)))
+            assert expand_xy(encoded_bracket_xy(i, k), k - 2) == expect, \
+                (i, k)
             assert encoded_bracket_generator(i, k) == expect, (i, k)
 
 
 def test_bracket_kernel_matches_kernel_over_all_monomials():
-    # bracket_kernel eliminates over the gamma-free monomials only; the
-    # kernel over every monomial of the encodings is the same
+    # bracket_kernel eliminates over the X, Y coefficients; the kernel
+    # over every alpha, beta, gamma monomial of the encodings is the same
     for k in range(8, 61, 2):
         cols = [encoded_bracket_generator(i, k).terms
                 for i in range(1, generator_count(k) + 1)]
@@ -231,13 +231,13 @@ def test_bracket_kernel_matches_kernel_over_all_monomials():
 ])
 def test_encoded_bracket_generator_rejects_bad_index(i, k, message):
     with pytest.raises(ValueError, match=message):
-        encoded_bracket_generator(i, k)
+        encoded_bracket_xy(i, k)
 
 
-def test_oracles_agree_weights_30_to_110():
+def test_oracles_agree_weights_30_to_160():
     # a wider range than the published one, through the cross-check of
     # `relations --oracle all`
-    for k in range(30, 111, 2):
+    for k in range(30, 161, 2):
         report = relations_report(k, "all")
         assert report["failures"] == [], (k, report["failures"])
         assert len(report["vectors"]["rank"]) == relation_count(k), k

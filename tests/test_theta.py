@@ -5,8 +5,7 @@ from math import comb
 
 import pytest
 
-from grt2.linalg import span_equal
-from grt2.perms import IDENTITY, S3
+from grt2.perms import IDENTITY, S3, SWAP_12
 from grt2.poly import Poly2, Poly3
 from grt2.theta import (
     _d0_columns,
@@ -29,6 +28,7 @@ from helpers import (
     in_span,
     induced_action,
     relation_count,
+    relation_space_psi_all_perms,
     theta_relation,
 )
 
@@ -267,16 +267,9 @@ def test_relation_space_contains_published_k24():
     assert in_span(basis, [Fraction(c) for c in K24_SECOND])
 
 
-def test_psi_oracle_agrees_with_rank_oracle():
-    for k in range(8, 30, 2):
-        a = [[Fraction(c) for c in v.coeffs] for v in relation_space(k)]
-        b = [[Fraction(c) for c in v.coeffs] for v in relation_space_psi(k)]
-        assert span_equal(a, b), k
-
-
 def test_psi_rows_match_induced_action_through_weight_60():
-    # each row of the psi oracle, built from binomials, against the
-    # Poly3 round trip of perms.induced_action
+    # sigma_* v - v built from binomials, for every non-identity sigma,
+    # against the Poly3 round trip of helpers.induced_action
     for k in range(8, 61, 2):
         for u in range(k - 1):
             v = k - 2 - u
@@ -285,9 +278,24 @@ def test_psi_rows_match_induced_action_through_weight_60():
                 if perm == IDENTITY:
                     continue
                 expect = induced_action(perm, base) - base
-                row = _induced_difference(perm, u, v)
+                row = Poly2(_induced_difference(perm, u, v))
                 assert row == expect, (perm, u, v)
                 assert psi(row) == psi(expect), (perm, u, v)
+
+
+def test_psi_of_swap_rows_vanishes():
+    # (12)_* x^u y^v = -x^v y^u and psi is antisymmetric under the swap
+    for k in range(8, 61, 2):
+        for u in range(k - 1):
+            row = Poly2(_induced_difference(SWAP_12, u, k - 2 - u))
+            assert psi(row).is_zero(), (k, u)
+
+
+def test_cycle_rows_span_all_permutation_rows():
+    # the (123) rows of the psi oracle span what the rows of all five
+    # non-identity permutations span
+    for k in range(8, 81, 2):
+        assert relation_space_psi(k) == relation_space_psi_all_perms(k), k
 
 
 def test_theta_relation_lands_in_relation_space():
