@@ -195,17 +195,33 @@ def test_kernel_agreement_with_rank_oracle():
         assert relations_report(k, "all")["failures"] == [], k
 
 
+def test_encoded_generator_degree():
+    enc = encoded_bracket_generator(1, 12)
+    assert {sum(key) for key in enc.terms} == {10}
+    xy = encoded_bracket_xy(1, 12)
+    assert xy and all(0 <= j <= 10 for j in xy)
+
+
+def test_encoded_bracket_generator_matches_word_level_reference():
+    # the alpha, beta, gamma reference against the NCPoly definition, for
+    # every generator of every even weight 8..40
+    for k in range(8, 41, 2):
+        for i in range(1, generator_count(k) + 1):
+            expect = depth2_encode(
+                ihara_bracket(ad_power(2 * i), ad_power(k - 2 - 2 * i)))
+            assert encoded_bracket_generator(i, k) == expect, (i, k)
+
+
 def test_encoded_bracket_xy_matches_word_level_reference():
     # the X, Y coefficients expanded through X = alpha-beta and
-    # Y = beta-gamma, and the alpha, beta, gamma reference, against the
-    # NCPoly definition, for every generator of every even weight 8..40
+    # Y = beta-gamma, against the NCPoly definition, for every generator
+    # of every even weight 8..40
     for k in range(8, 41, 2):
         for i in range(1, generator_count(k) + 1):
             expect = depth2_encode(
                 ihara_bracket(ad_power(2 * i), ad_power(k - 2 - 2 * i)))
             assert expand_xy(encoded_bracket_xy(i, k), k - 2) == expect, \
                 (i, k)
-            assert encoded_bracket_generator(i, k) == expect, (i, k)
 
 
 def test_bracket_kernel_matches_kernel_over_all_monomials():
