@@ -278,14 +278,13 @@ def check_theta_identity(_cap):
     from .graphs.canon import canonicalize
     from .graphs.core import GraphSum
     from .graphs.ops import (bowtie_difference, icg_differential_raw,
-                             mark_one_external, two_loop_part)
+                             two_loop_marking)
 
     results = []
     for i2, j2 in ((2, 4), (2, 6), (4, 6)):
         image = icg_differential_raw(figure_eight(i2, j2))
         cls, sign = canonicalize(theta_graph(1, (i2, j2, 0)))
-        marked = two_loop_part(
-            mark_one_external(bowtie_difference(i2 + 1, j2 + 1)))
+        marked = two_loop_marking(bowtie_difference(i2 + 1, j2 + 1))
         ok = image == marked + GraphSum({cls: 4 * sign})
         results.append(
             ("d0 E(%d,%d) = D(%d,%d) + 4 theta(%d,%d)"

@@ -75,11 +75,55 @@ def _edge_images(g, aut):
              for u, v in g.edges] for sigma in aut]
 
 
-def icg_differential_raw(g, loop_preserving=True):
+def _orbit_sum(configs, orbit_of, build):
+    """Canonicalized sum of ``build(c)`` over the configurations, one
+    term per orbit of an automorphism group acting on them.
+
+    ``orbit_of(c)`` is the set of images of c; a configuration that an
+    earlier orbit holds is skipped, and each new orbit contributes
+    ``build(c)`` through its first configuration, with the orbit size
+    as coefficient.  That equals the sum over every configuration: the
+    terms of one orbit are one graph up to an edge permutation, and that
+    permutation is even, because a nonzero class has only even
+    automorphisms.  (If the class of an input is zero, an odd
+    automorphism pairs the terms off and the sum is zero; callers return
+    early then.)  When ``build(c)`` is None the orbit adds nothing and
+    is never canonicalized.
+    """
+    def terms():
+        seen = set()
+        for c in configs:
+            if c in seen:
+                continue
+            orbit = orbit_of(c)
+            seen |= orbit
+            term = build(c)
+            if term is not None:
+                yield term, len(orbit)
+
+    out = {}
+    canonical_sum(terms(), out)
+    return GraphSum(out)
+
+
+def _add_scaled(terms, gs, scale):
+    """Add scale times the graph sum gs into the dict ``terms``."""
+    for cls, coeff in gs.terms.items():
+        terms[cls] = terms.get(cls, 0) + scale * coeff
+
+
+def _linear(raw, gs):
+    """Linear extension of the map ``raw`` from graphs to graph sums."""
+    terms = {}
+    for cls, coeff in gs.terms.items():
+        _add_scaled(terms, raw(cls.graph), coeff)
+    return GraphSum(terms)
+
+
+def icg_differential_raw(g):
     """Vertex-splitting differential of a single labeled graph, as a
-    canonicalized sum.  Only internally connected terms count; with
-    ``loop_preserving`` the terms whose internal loop count exceeds the
-    input's are discarded too.
+    canonicalized sum.  Only the internally connected terms whose
+    internal loop count equals the input's are kept.
 
     Both conditions are read off the input and the moved edges before a
     term is built.  Splitting an internal vertex hangs the new vertex on
@@ -88,21 +132,21 @@ def icg_differential_raw(g, loop_preserving=True):
     new vertex to the internal components that its ``a`` moved internal
     edges reach; with ``c`` of them distinct the term is connected
     exactly when ``c`` is the number of components, and it then has
-    ``a - c`` more loops than the input.
+    ``a - c`` more loops than the input, so it is kept when ``a`` and
+    ``c`` both equal that number.
 
     Aut(g) acts on the kept splits (vertex v, moved edges), and both
-    conditions are invariant under it.  As in :func:`pre_lie_raw`, each
-    orbit is canonicalized once, through its first split, with its size
-    as coefficient; an internal vertex's image set that holds the pinned
-    first edge stands for its complement, which gives the same graph.
-    If the class of g is zero, an odd automorphism pairs the terms off
-    and the sum is zero.
+    conditions are invariant under it; the sum runs over its orbits
+    through :func:`_orbit_sum`.  An internal vertex's image set that
+    holds the pinned first edge stands for its complement, which gives
+    the same graph.
     """
     aut = automorphisms(g)
     if aut is None:
         return GraphSum()
     root, _, count = components(g, g.ext)
     incidence = g.incidence()
+    images = _edge_images(g, aut)
 
     def kept():
         for v in range(g.n):
@@ -117,53 +161,33 @@ def icg_differential_raw(g, loop_preserving=True):
             for i in incidence[v]:
                 x, y = g.edges[i]
                 reach[i] = root[y if x == v else x]
-            # a kept split moves one edge into each component and, when
-            # loops are preserved, no further internal edge; the rest of
-            # its at least two edges run to other external vertices
-            if loop_preserving and count + sum(
-                    r is None for r in reach.values()) < 2:
+            # a kept split moves one edge into each component and no
+            # further internal edge; the rest of its at least two edges
+            # run to other external vertices
+            if count + sum(r is None for r in reach.values()) < 2:
                 continue
             for moved in _moved_sets(g, v, incidence[v]):
                 hit = [reach[i] for i in moved if reach[i] is not None]
-                c = len(set(hit))
-                if c == count and not (loop_preserving
-                                       and len(hit) != c):
+                if len(hit) == count == len(set(hit)):
                     yield v, moved
 
-    def orbit_representatives():
-        images = _edge_images(g, aut)
-        seen = set()
-        for v, moved in kept():
-            if (v, moved) in seen:
-                continue
-            orbit = set()
-            for sigma, image in zip(aut, images):
-                w = sigma[v]
-                target = sorted(image[i] for i in moved)
-                if not g.ext[w] and incidence[w][0] in target:
-                    target = [i for i in incidence[w] if i not in target]
-                orbit.add((w, tuple(target)))
-            seen |= orbit
-            yield _split(g, v, moved), len(orbit)
+    def orbit_of(split):
+        v, moved = split
+        orbit = set()
+        for sigma, image in zip(aut, images):
+            w = sigma[v]
+            target = sorted(image[i] for i in moved)
+            if not g.ext[w] and incidence[w][0] in target:
+                target = [i for i in incidence[w] if i not in target]
+            orbit.add((w, tuple(target)))
+        return orbit
 
-    terms = {}
-    canonical_sum(orbit_representatives(), terms)
-    return GraphSum(terms)
+    return _orbit_sum(kept(), orbit_of, lambda split: _split(g, *split))
 
 
-def _add_scaled(terms, gs, scale):
-    """Add scale times the graph sum gs into the dict ``terms``."""
-    for cls, coeff in gs.terms.items():
-        terms[cls] = terms.get(cls, 0) + scale * coeff
-
-
-def icg_differential(gs, loop_preserving=True):
+def icg_differential(gs):
     """Linear extension of the splitting differential to graph sums."""
-    terms = {}
-    for cls, coeff in gs.terms.items():
-        _add_scaled(terms, icg_differential_raw(cls.graph, loop_preserving),
-                    coeff)
-    return GraphSum(terms)
+    return _linear(icg_differential_raw, gs)
 
 
 # -- operadic insertion ------------------------------------------------------
@@ -205,11 +229,9 @@ def pre_lie_raw(g1, g2):
 
     Aut(g1) x Aut(g2) acts on the pairs (vertex j, assignment): sigma
     moves j to sigma(j) and each loose edge to its image, tau moves
-    each target t to tau(t).  The terms of one orbit are one graph up to
-    an edge permutation that is even, because a nonzero class has only
-    even automorphisms; so each orbit is canonicalized once, through its
-    first pair, with its size as coefficient.  If the class of g1 or g2
-    is zero, an odd automorphism pairs the terms off and the sum is zero.
+    each target t to tau(t).  The sum runs over its orbits through
+    :func:`_orbit_sum`; the product group is walked pair by pair and
+    never built as a list.
     """
     aut1, aut2 = automorphisms(g1), automorphisms(g2)
     if aut1 is None or aut2 is None:
@@ -222,25 +244,21 @@ def pre_lie_raw(g1, g2):
         moves.append([[loose[sigma[j]].index(edge_image[e])
                        for e in loose[j]] for j in range(g1.n)])
 
-    def orbit_representatives():
-        seen = set()
-        for j in range(g1.n):
-            for assignment in product(range(g2.n), repeat=len(loose[j])):
-                if (j, assignment) in seen:
-                    continue
-                orbit = set()
-                for sigma, move in zip(aut1, moves):
-                    for tau in aut2:
-                        image = [0] * len(assignment)
-                        for i, t in zip(move[j], assignment):
-                            image[i] = tau[t]
-                        orbit.add((sigma[j], tuple(image)))
-                seen |= orbit
-                yield insert_at(g1, j, g2, assignment), len(orbit)
+    def orbit_of(pair):
+        j, assignment = pair
+        orbit = set()
+        for sigma, move in zip(aut1, moves):
+            for tau in aut2:
+                image = [0] * len(assignment)
+                for i, t in zip(move[j], assignment):
+                    image[i] = tau[t]
+                orbit.add((sigma[j], tuple(image)))
+        return orbit
 
-    terms = {}
-    canonical_sum(orbit_representatives(), terms)
-    return GraphSum(terms)
+    pairs = ((j, assignment) for j in range(g1.n)
+             for assignment in product(range(g2.n), repeat=len(loose[j])))
+    return _orbit_sum(pairs, orbit_of,
+                      lambda pair: insert_at(g1, pair[0], g2, pair[1]))
 
 
 def gc2_bracket(s1, s2):
@@ -293,55 +311,47 @@ def bowtie_difference(a, b):
 # -- marking a vertex as external -------------------------------------------
 
 
-def mark_one_external_raw(g):
-    """Sum over all vertices of the graph with that vertex flagged
-    external; terms violating admissibility are dropped.
-
-    Aut(g) permutes the markings, and an automorphism carries the
-    marking at v onto the one at its image by an even edge permutation,
-    so each orbit of vertices is marked once, at its first vertex, with
-    the orbit size as coefficient.  If the class of g is zero, an odd
-    automorphism pairs the terms off and the sum is zero.
+def _markings(g, keep):
+    """Sum over the vertices of g of the graph with that vertex flagged
+    external and moved to position 0, by orbits of Aut(g) through
+    :func:`_orbit_sum`; a marking that is inadmissible or that ``keep``
+    rejects adds nothing.
     """
     aut = automorphisms(g)
     if aut is None:
         return GraphSum()
+    flags = tuple(i == 0 for i in range(g.n))
 
-    def admissible():
-        flags = tuple(i == 0 for i in range(g.n))
-        seen = set()
-        for v in range(g.n):
-            if v in seen:
-                continue
-            orbit = {sigma[v] for sigma in aut}
-            seen |= orbit
+    def build(v):
+        def remap(w):
+            return 0 if w == v else (w + 1 if w < v else w)
 
-            def remap(w):
-                return 0 if w == v else (w + 1 if w < v else w)
+        marked = Graph(g.n, flags,
+                       tuple((remap(a), remap(b)) for a, b in g.edges))
+        try:
+            icg_check(marked)
+        except ValueError:
+            return None
+        return marked if keep(marked) else None
 
-            marked = Graph(g.n, flags,
-                           tuple((remap(a), remap(b)) for a, b in g.edges))
-            try:
-                icg_check(marked)
-            except ValueError:
-                continue
-            yield marked, len(orbit)
-
-    terms = {}
-    canonical_sum(admissible(), terms)
-    return GraphSum(terms)
+    return _orbit_sum(range(g.n), lambda v: {sigma[v] for sigma in aut},
+                      build)
 
 
-def mark_one_external(gs):
-    terms = {}
-    for cls, coeff in gs.terms.items():
-        _add_scaled(terms, mark_one_external_raw(cls.graph), coeff)
-    return GraphSum(terms)
+def mark_one_external_raw(g):
+    """Sum over all vertices of the graph with that vertex flagged
+    external; terms violating admissibility are dropped.
+    """
+    return _markings(g, lambda marked: True)
 
 
-def two_loop_part(gs):
-    """Terms with exactly two internal loops."""
-    return gs.restrict(lambda cls: internal_loop_count(cls.graph) == 2)
+def two_loop_marking(gs):
+    """The marking map on graph sums, restricted to the terms with
+    exactly two internal loops.  The loop count is read off each marked
+    graph before it is canonicalized, so no other marking is searched.
+    """
+    return _linear(
+        lambda g: _markings(g, lambda m: internal_loop_count(m) == 2), gs)
 
 
 # -- the bridge between theta graphs and monomials ---------------------------
