@@ -18,13 +18,13 @@ during the search.
 
 Graphs are immutable and hashable, so each search result is memoized
 per graph in a bounded table.  A search that finds a nonzero class also
-records the result for its canonical representative, which later
-operations on the class (``cls.graph``) would otherwise search again.
+records the result for its canonical representative, the
+:class:`GraphClass` that later operations on the class pass in.
 """
 
 from __future__ import annotations
 
-from .core import Graph, GraphClass, gc2_check, icg_check
+from .core import GraphClass, gc2_check, icg_check
 
 # Search results kept, oldest dropped first once the table is full.
 MEMO_SIZE = 1024
@@ -114,7 +114,7 @@ def _search(g):
         _remember(g, result)
         edges, sign, labelings = result
         if sign:
-            canon = Graph(g.n, g.ext, edges)
+            canon = GraphClass(g.n, g.ext, edges)
             if canon not in _memo:
                 _remember(canon, _canonical_result(edges, labelings))
     return result

@@ -5,13 +5,31 @@ from __future__ import annotations
 from ..poly import _SparsePoly
 
 
-class _LabeledGraph:
-    """Value semantics shared by :class:`Graph` and :class:`GraphClass`:
-    immutable, and equal and hashed by ``(n, ext, edges)`` within one
-    exact type.
+class Graph:
+    """An unoriented graph with a linear order on its edges.
+
+    ``ext`` flags which vertices are external; external vertices keep
+    their index under relabeling, internal ones are interchangeable.
+    Edges are stored as (min, max) pairs; their position in the tuple is
+    the edge order.  Graphs are immutable, and equal and hashed by
+    ``(n, ext, edges)`` within one exact type.
     """
 
     __slots__ = ("n", "ext", "edges")
+
+    def __init__(self, n, ext, edges):
+        if len(ext) != n:
+            raise ValueError("ext flags must cover every vertex")
+        norm = []
+        for u, v in edges:
+            if u == v:
+                raise ValueError("simple loops are not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("edge endpoint out of range")
+            norm.append((u, v) if u < v else (v, u))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ext", tuple(ext))
+        object.__setattr__(self, "edges", tuple(norm))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s instances are immutable"
@@ -29,32 +47,6 @@ class _LabeledGraph:
     def __repr__(self):
         return "%s(n=%r, ext=%r, edges=%r)" % (
             type(self).__name__, self.n, self.ext, self.edges)
-
-
-class Graph(_LabeledGraph):
-    """An unoriented graph with a linear order on its edges.
-
-    ``ext`` flags which vertices are external; external vertices keep
-    their index under relabeling, internal ones are interchangeable.
-    Edges are stored as (min, max) pairs; their position in the tuple is
-    the edge order.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, n, ext, edges):
-        if len(ext) != n:
-            raise ValueError("ext flags must cover every vertex")
-        norm = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError("simple loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge endpoint out of range")
-            norm.append((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ext", tuple(ext))
-        object.__setattr__(self, "edges", tuple(norm))
 
     @property
     def num_edges(self):
@@ -171,9 +163,12 @@ def gc2_degree(g):
     return -2 - g.num_edges + 2 * g.n
 
 
-class GraphClass(_LabeledGraph):
+class GraphClass(Graph):
     """A canonical representative of a graph modulo internal relabeling
-    and edge reordering.  Instances are produced by ``canonicalize``.
+    and edge reordering, built by ``canonicalize`` from normalized edges,
+    so the constructor checks nothing.  Graph operations take it as it
+    is; it never equals a raw Graph with the same edges, so its type
+    marks it as canonical.
     """
 
     __slots__ = ()
@@ -182,10 +177,6 @@ class GraphClass(_LabeledGraph):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ext", ext)
         object.__setattr__(self, "edges", edges)
-
-    @property
-    def graph(self):
-        return Graph(self.n, self.ext, self.edges)
 
     def sort_key(self):
         return (self.n, self.ext, self.edges)

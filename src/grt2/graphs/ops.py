@@ -116,7 +116,7 @@ def _linear(raw, gs):
     """Linear extension of the map ``raw`` from graphs to graph sums."""
     terms = {}
     for cls, coeff in gs.terms.items():
-        _add_scaled(terms, raw(cls.graph), coeff)
+        _add_scaled(terms, raw(cls), coeff)
     return GraphSum(terms)
 
 
@@ -266,12 +266,9 @@ def gc2_bracket(s1, s2):
     terms = {}
     for c1, a1 in s1.terms.items():
         for c2, a2 in s2.terms.items():
-            d1 = gc2_degree(c1.graph)
-            d2 = gc2_degree(c2.graph)
-            koszul = -1 if (d1 * d2) % 2 else 1
-            _add_scaled(terms, pre_lie_raw(c1.graph, c2.graph), a1 * a2)
-            _add_scaled(terms, pre_lie_raw(c2.graph, c1.graph),
-                        -koszul * a1 * a2)
+            koszul = -1 if (gc2_degree(c1) * gc2_degree(c2)) % 2 else 1
+            _add_scaled(terms, pre_lie_raw(c1, c2), a1 * a2)
+            _add_scaled(terms, pre_lie_raw(c2, c1), -koszul * a1 * a2)
     return GraphSum(terms)
 
 
@@ -430,16 +427,15 @@ def theta_graph_encode(g):
     return ThetaElement(grade, (sign * ref_sign) * mono)
 
 
-def theta_sum_encode(gs):
-    """Encode a sum of theta-shaped classes, grade by grade."""
-    by_grade = {}
-    for cls, coeff in gs.terms.items():
-        elem = theta_graph_encode(cls.graph)
-        grade = elem.grade
-        by_grade[grade] = by_grade.get(grade, Poly3.zero()) \
-            + elem.value.scale(coeff)
-    return {
-        grade: ThetaElement(grade, value)
-        for grade, value in by_grade.items()
-    }
-
+def theta_graph_sum(elem):
+    """The canonical sum of the reference theta graphs of an element's
+    monomials, with its coefficients: the graph-side image of a class,
+    which :func:`theta_graph_encode` reads back.  None when the class of
+    a reference graph is zero, which no sum could stand for.
+    """
+    terms = {}
+    pairs = ((theta_graph(elem.grade, m), c)
+             for m, c in elem.value.terms.items())
+    if canonical_sum(pairs, terms):
+        return None
+    return GraphSum(terms)

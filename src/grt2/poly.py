@@ -126,9 +126,6 @@ class _SparsePoly:
                 out[k] = out.get(k, 0) + c1 * c2
         return type(self)(out)
 
-    def coeff(self, key):
-        return self.terms.get(key, 0)
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -177,12 +174,6 @@ class NCPoly(_SparsePoly):
     @staticmethod
     def _key_str(k):
         return k if k else "1"
-
-    @classmethod
-    def letter(cls, name):
-        if name not in ("x", "y"):
-            raise ValueError("letters are 'x' and 'y', got %r" % name)
-        return cls.monomial(name)
 
     def depth(self):
         """Minimal number of y letters over the support; undefined for 0."""

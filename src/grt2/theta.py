@@ -261,9 +261,8 @@ class RelationVector:
     __slots__ = ("weight", "coeffs")
 
     def __init__(self, weight, coeffs):
-        if weight % 2 != 0 or weight < 8:
-            raise ValueError("relation weight must be even and >= 8")
-        expected = (weight - 4) // 4
+        _check_relation_weight(weight)
+        expected = generator_count(weight)
         if len(coeffs) != expected:
             raise ValueError(
                 "weight %d relations have %d coefficients, got %d"

@@ -189,7 +189,7 @@ def random_lie_element(rng, weight):
     built from nested commutators of the letters.
     """
     if weight == 1:
-        return NCPoly.letter("x" if rng.random() < 0.5 else "y")
+        return NCPoly.monomial("x" if rng.random() < 0.5 else "y")
     split = rng.randint(1, weight - 1)
     left = random_lie_element(rng, split)
     right = random_lie_element(rng, weight - split)
@@ -323,7 +323,7 @@ def check_canonicalize_invariance(rng, graphs, samples=10):
                 assert sign2 == sign * parity
             if cls is not None:
                 # idempotence on the canonical representative
-                cls3, sign3 = canonicalize(cls.graph, check=False)
+                cls3, sign3 = canonicalize(cls, check=False)
                 assert cls3 == cls and sign3 == 1
 
 

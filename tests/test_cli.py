@@ -246,17 +246,39 @@ def test_graphs_cap_the_check_cannot_honour_is_usage_error(
 @pytest.mark.parametrize("argv", [
     ("graphs", "--check", "filtration", "--size-cap", "9"),
     ("graphs", "--check", "bowtie"),
+    ("graphs", "--check", "d-squared", "--size-cap", "5"),
+    ("graphs", "--check", "encoding", "--size-cap", "4"),
+    ("graphs", "--check", "theta-identity"),
 ])
 def test_zero_wheel_bracket_fails(capsys, monkeypatch, argv):
-    # "every term at filtration level >= 2" holds vacuously for a zero
-    # bracket; a bracket that came out zero must fail the check instead
+    # Every graph check fails loudly, with a FAIL line and exit status 1,
+    # when one graph operation it runs is broken.  "Every term at
+    # filtration level >= 2" holds vacuously for a zero bracket, so a
+    # bracket that came out zero must fail; so must a differential whose
+    # square is not zero, an image term of no theta shape, and a marking
+    # that lost its terms.
     from grt2.graphs import ops
+    from grt2.graphs.build import wheel
     from grt2.graphs.core import GraphSum
 
-    monkeypatch.setattr(ops, "gc2_bracket", lambda s1, s2: GraphSum())
+    raw = ops.icg_differential_raw
+    zero_bracket = ("gc2_bracket", lambda s1, s2: GraphSum(),
+                    "[w3,w5] every term at filtration level >= 2")
+    name, stand_in, failure = {
+        "filtration": zero_bracket,
+        "bowtie": zero_bracket,
+        "d-squared": ("icg_differential", lambda gs: ops.wheel_class(3),
+                      "d0^2 theta grade 0 (1, 1, 0)"),
+        "encoding": ("icg_differential_raw",
+                     lambda g: raw(g) + ops.mark_one_external_raw(wheel(3)),
+                     "encode d0 = d0 encode, grade 0 (1, 1, 0)"),
+        "theta-identity": ("two_loop_marking", lambda gs: GraphSum(),
+                           "d0 E(2,4) = D(3,5) + 4 theta(2,4)"),
+    }[argv[2]]
+    monkeypatch.setattr(ops, name, stand_in)
     code, out = run_cli(capsys, *argv)
     assert code == 1
-    assert "FAIL  [w3,w5] every term at filtration level >= 2\n" in out
+    assert "FAIL  %s\n" % failure in out
 
 
 def test_deterministic_output(capsys):
@@ -288,18 +310,22 @@ def test_output_independent_of_hash_seed(tmp_path):
 
 
 def test_startup_does_not_import_dataclasses(tmp_path):
-    # The value classes are plain __slots__ classes, so loading the
-    # graph commands pulls in neither dataclasses nor inspect (nor what
-    # inspect loads).  -S keeps site hooks from importing them instead.
+    # The cli imports the graph modules inside the commands that use
+    # them, so importing it alone loads no grt2.graphs module.  The value
+    # classes are plain __slots__ classes, so loading the graph commands
+    # pulls in neither dataclasses nor inspect (nor what inspect loads).
+    # -S keeps site hooks from importing them instead.
     import_root = str(Path(grt2.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, %r); "
-            "import grt2.cli, grt2.graphs.ops; "
+    code = ("import sys; sys.path.insert(0, %r); import grt2.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('grt2.graphs'))); "
+            "import grt2.graphs.ops; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
             % import_root)
     result = subprocess.run([sys.executable, "-S", "-c", code],
                             capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n[]\n"
 
 
 def test_export_relations(tmp_path, capsys):

@@ -36,6 +36,19 @@ def test_graph_stores_ext_as_tuple():
     assert canonicalize(g) == canonicalize(w3)
 
 
+def test_class_is_a_graph_distinct_from_raw_graphs():
+    # a canonical class is a Graph, and being of its own exact type it
+    # never equals a raw graph with the same edges: as dict keys the
+    # two stay apart
+    cls, _ = canonicalize(wheel(5))
+    raw = Graph(cls.n, cls.ext, cls.edges)
+    assert isinstance(cls, Graph)
+    assert cls != raw and raw != cls and hash(cls) == hash(raw)
+    assert len({cls: 1, raw: 2}) == 2
+    with pytest.raises(AttributeError):
+        cls.n = 0
+
+
 def test_admissibility_names_condition():
     # an internal vertex of valence one
     g = Graph(2, (True, False), ((0, 1),))
@@ -147,7 +160,7 @@ def test_search_memo_seeds_canonical_representative():
         if cls is None:
             continue
         seeded += 1
-        assert canon._memo[cls.graph] == canon._label(cls.graph), g
+        assert canon._memo[cls] == canon._label(cls), g
     assert seeded > 20
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +30,13 @@ from grt2.graphs.ops import (
     pre_lie_raw,
     split_terms,
     theta_graph_encode,
+    theta_graph_sum,
     two_loop_marking,
     wheel_class,
 )
 from grt2.poly import Poly3
 from grt2.perms import sign_coinvariant_normal_form
+from grt2.theta import ThetaElement
 from helpers import failed_cases, in_span
 
 
@@ -155,7 +157,7 @@ def test_icg_differential_matches_reference_on_symmetric_inputs():
     # first edge, which stands for its complement
     inputs = [figure_eight(2, 4), figure_eight(3, 3), figure_eight(2, 2)]
     for spokes in (3, 5, 7):
-        inputs += [cls.graph for cls, _ in
+        inputs += [cls for cls, _ in
                    mark_one_external_raw(wheel(spokes)).sorted_terms()]
     assert sum(len(automorphisms(g) or ()) > 1 for g in inputs) >= 4
     for g in inputs:
@@ -216,7 +218,30 @@ def test_encode_reference_figure():
 def test_encode_rejects_other_shapes():
     with pytest.raises(ValueError):
         theta_graph_encode(mark_one_external_raw(wheel(3))
-                           .sorted_terms()[0][0].graph)
+                           .sorted_terms()[0][0])
+
+
+def test_theta_graph_sum_inverts_encoding():
+    # the graph-side image of a shape's encoding is the shape's class;
+    # the strands in every order give both signs
+    for grade in (0, 1, 2):
+        for shape in theta_shapes(grade, 9):
+            for counts in set(permutations(shape)):
+                g = theta_graph(grade, counts)
+                cls, sign = canonicalize(g)
+                want = GraphSum() if cls is None else GraphSum({cls: sign})
+                assert theta_graph_sum(theta_graph_encode(g)) == want, \
+                    (grade, counts)
+
+
+def test_theta_graph_sum_refuses_a_zero_reference(monkeypatch):
+    # a reference graph whose class is zero has no sum to stand for it
+    from grt2.graphs import ops
+
+    doubled = Graph(3, (True, False, False), ((0, 1), (1, 2), (1, 2)))
+    monkeypatch.setattr(ops, "theta_graph", lambda grade, counts: doubled)
+    elem = ThetaElement(1, Poly3.monomial((2, 1, 0)))
+    assert theta_graph_sum(elem) is None
 
 
 def test_gc2_bracket_antisymmetry():
@@ -231,7 +256,7 @@ def test_gc2_bracket_jacobi_truncated():
     # the triple products small
     w3, w5 = wheel_class(3), wheel_class(5)
     level2 = lambda s: s.restrict(
-        lambda c: filtration_value(c.graph) == 2)
+        lambda c: filtration_value(c) == 2)
     inner_ab = level2(gc2_bracket(w3, w3))
     inner_bc = level2(gc2_bracket(w3, w5))
     inner_ca = level2(gc2_bracket(w5, w3))
@@ -273,8 +298,8 @@ def pre_lie_reference(g1, g2):
 def test_pre_lie_orbits_match_reference():
     w3, w5, w7 = wheel(3), wheel(5), wheel(7)
     level2 = gc2_bracket(wheel_class(3), wheel_class(5)).restrict(
-        lambda c: filtration_value(c.graph) == 2)
-    g = level2.sorted_terms()[0][0].graph
+        lambda c: filtration_value(c) == 2)
+    g = level2.sorted_terms()[0][0]
     for g1, g2 in ((w3, w5), (w5, w3), (w3, w3), (w3, w7), (g, w3),
                    (w3, g)):
         got, want = pre_lie_raw(g1, g2), pre_lie_reference(g1, g2)
@@ -384,8 +409,8 @@ def two_loop_marking_reference(gs):
     to the terms with two internal loops."""
     terms = {}
     for cls, coeff in gs.terms.items():
-        for marked, x in mark_one_external_reference(cls.graph).terms.items():
-            if internal_loop_count(marked.graph) == 2:
+        for marked, x in mark_one_external_reference(cls).terms.items():
+            if internal_loop_count(marked) == 2:
                 terms[marked] = terms.get(marked, 0) + coeff * x
     return GraphSum(terms)
 
@@ -401,9 +426,9 @@ def test_two_loop_marking_matches_reference():
 
 def test_marking_orbits_match_reference():
     level2 = gc2_bracket(wheel_class(3), wheel_class(5)).restrict(
-        lambda c: filtration_value(c.graph) == 2)
+        lambda c: filtration_value(c) == 2)
     cases = [wheel(3), wheel(5), wheel(7), bowtie(3, 5), bowtie(5, 3)]
-    cases += [cls.graph for cls, _ in level2.sorted_terms()]
+    cases += [cls for cls, _ in level2.sorted_terms()]
     assert len(cases) == 7
     for g in cases:
         got, want = mark_one_external_raw(g), mark_one_external_reference(g)

@@ -39,8 +39,8 @@ def test_ad_power_small():
 def test_ad_power_is_iterated_bracket():
     from grt2.poly import nc_bracket
 
-    x = NCPoly.letter("x")
-    value = NCPoly.letter("y")
+    x = NCPoly.monomial("x")
+    value = NCPoly.monomial("y")
     for n in range(6):
         assert ad_power(n) == value
         value = nc_bracket(x, value)
@@ -48,16 +48,16 @@ def test_ad_power_is_iterated_bracket():
 
 def test_derivation_on_generators():
     index = ad_power(2)
-    assert apply_derivation(index, NCPoly.letter("x")).is_zero()
-    y = NCPoly.letter("y")
+    assert apply_derivation(index, NCPoly.monomial("x")).is_zero()
+    y = NCPoly.monomial("y")
     assert apply_derivation(index, y) == y * index - index * y
 
 
 def test_derivation_leibniz():
     index = NCPoly({"xy": 1})
     xy = NCPoly({"xy": 1})
-    y = NCPoly.letter("y")
-    x = NCPoly.letter("x")
+    y = NCPoly.monomial("y")
+    x = NCPoly.monomial("x")
     assert apply_derivation(index, xy) == x * (y * index - index * y)
 
 

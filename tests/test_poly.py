@@ -26,7 +26,7 @@ def test_zero_absorbs():
 
 
 def test_nc_concatenation():
-    x, y = NCPoly.letter("x"), NCPoly.letter("y")
+    x, y = NCPoly.monomial("x"), NCPoly.monomial("y")
     assert x * y - y * x == NCPoly({"xy": 1, "yx": -1})
 
 
@@ -98,7 +98,7 @@ def test_parity_parts_sum():
 
 
 def test_nc_bracket_basics():
-    x, y = NCPoly.letter("x"), NCPoly.letter("y")
+    x, y = NCPoly.monomial("x"), NCPoly.monomial("y")
     assert nc_bracket(x, x).is_zero()
     assert nc_bracket(x, y) == NCPoly({"xy": 1, "yx": -1})
     assert nc_bracket(x, nc_bracket(x, y)) == \
