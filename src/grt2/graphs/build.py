@@ -88,21 +88,10 @@ def figure_eight(c1, c2):
     if c1 < 2 or c2 < 2:
         raise ValueError("loops need at least two interior vertices")
     ext, center = 0, 1
-    n = 2
-    loops = []
-    for c in (c1, c2):
-        loops.append(list(range(n, n + c)))
-        n += c
-    edges = []
-    for index, verts in enumerate(loops):
-        prev = center
-        for v in verts:
-            edges.append((prev, v))
-            edges.append((v, ext))
-            prev = v
-        edges.append((prev, center))
-        if index == 0:
-            edges.append((center, ext))
+    n = 2 + c1 + c2
+    edges = (_strand_block(center, center, range(2, 2 + c1), ext)
+             + [(center, ext)]
+             + _strand_block(center, center, range(2 + c1, n), ext))
     flags = tuple(v == ext for v in range(n))
     return Graph(n, flags, tuple(edges))
 

@@ -194,6 +194,11 @@ def schneps_check(rv):
     substitutions: (13).G has g_(d-j) at j, and the 3-cycles give
     G(Y, -X-Y) = sum_j g_j Y^j (X+Y)^(d-j) and
     G(-X-Y, X) = sum_j g_j (X+Y)^j X^(d-j).
+
+    The antisymmetric extension sets g_(d-j) = -g_j, so
+    G + (13).G = 0 holds by construction for every input; the first
+    test guards that construction, and the 3-cycle condition carries
+    the check.
     """
     d = rv.weight - 2
     full = extend_coefficients(rv.weight, rv.coeffs)

@@ -86,7 +86,9 @@ def d0_theta(elem):
 
 
 def weight_slice_basis(grade, weight):
-    """Strictly decreasing exponent triples spanning one weight slice."""
+    """Strictly decreasing exponent triples spanning one weight slice,
+    in decreasing order: the loops run k1, then k2, downwards.
+    """
     if grade not in (0, 1, 2):
         raise ValueError("grade must be 0, 1 or 2")
     deg = weight - (2 - grade)
@@ -102,7 +104,7 @@ def weight_slice_basis(grade, weight):
             k3 = deg - k1 - k2
             if k3 < k2:
                 basis.append((k1, k2, k3))
-    return sorted(basis, reverse=True)
+    return basis
 
 
 def _d0_columns(grade, weight):
@@ -174,9 +176,10 @@ def _psi_scale(n):
 
 @lru_cache(maxsize=None)
 def _psi_monomial(a, b):
-    """D(a+b) times the image of x^a y^b, returned as a tuple of
-    ((a', b'), coeff) pairs with int coefficients, supported on
-    monomials with 2 <= a' < b' both even.
+    """D(a+b) times the image of x^a y^b, for a + b even (which
+    :func:`_psi_scaled` checks), returned as a tuple of ((a', b'), coeff)
+    pairs with int coefficients, supported on monomials with
+    2 <= a' < b' both even.
 
     The diagonal a = b is sent to zero: the swap branch applies to it and
     forces antisymmetry.  For a < b both odd the recursion rewrites the
@@ -186,8 +189,6 @@ def _psi_monomial(a, b):
     scale D(a+b); its factor a+1 makes the division exact, and a
     remainder raises ArithmeticError.
     """
-    if (a + b) % 2 != 0:
-        raise ValueError("only even total degree is in the domain")
     if a == 0 or b == 0 or a == b:
         return ()
     if a > b:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -254,31 +256,40 @@ def test_zero_wheel_bracket_fails(capsys, monkeypatch, argv):
     # Every graph check fails loudly, with a FAIL line and exit status 1,
     # when one graph operation it runs is broken.  "Every term at
     # filtration level >= 2" holds vacuously for a zero bracket, so a
-    # bracket that came out zero must fail; so must a differential whose
-    # square is not zero, an image term of no theta shape, and a marking
-    # that lost its terms.
+    # bracket that came out zero must fail, and its zero level-2 part is
+    # no nonzero multiple of the bowtie difference; so must a zero bowtie
+    # difference, a differential whose square is not zero, an image term
+    # of no theta shape, and a marking that lost its terms.
     from grt2.graphs import ops
     from grt2.graphs.build import wheel
     from grt2.graphs.core import GraphSum
 
     raw = ops.icg_differential_raw
-    zero_bracket = ("gc2_bracket", lambda s1, s2: GraphSum(),
-                    "[w3,w5] every term at filtration level >= 2")
-    name, stand_in, failure = {
-        "filtration": zero_bracket,
-        "bowtie": zero_bracket,
-        "d-squared": ("icg_differential", lambda gs: ops.wheel_class(3),
-                      "d0^2 theta grade 0 (1, 1, 0)"),
-        "encoding": ("icg_differential_raw",
-                     lambda g: raw(g) + ops.mark_one_external_raw(wheel(3)),
-                     "encode d0 = d0 encode, grade 0 (1, 1, 0)"),
-        "theta-identity": ("two_loop_marking", lambda gs: GraphSum(),
-                           "d0 E(2,4) = D(3,5) + 4 theta(2,4)"),
+    above_1 = "[w3,w5] every term at filtration level >= 2"
+    multiple = ("level-2 part of [w3,w5] is a nonzero multiple of the "
+                "bowtie difference")
+    cases = {
+        "filtration": [("gc2_bracket", lambda s1, s2: GraphSum(),
+                        [above_1])],
+        "bowtie": [("gc2_bracket", lambda s1, s2: GraphSum(),
+                    [above_1, multiple]),
+                   ("bowtie_difference", lambda i, j: GraphSum(),
+                    [multiple])],
+        "d-squared": [("icg_differential", lambda gs: ops.wheel_class(3),
+                       ["d0^2 theta grade 0 (1, 1, 0)"])],
+        "encoding": [("icg_differential_raw",
+                      lambda g: raw(g) + ops.mark_one_external_raw(wheel(3)),
+                      ["encode d0 = d0 encode, grade 0 (1, 1, 0)"])],
+        "theta-identity": [("two_loop_marking", lambda gs: GraphSum(),
+                            ["d0 E(2,4) = D(3,5) + 4 theta(2,4)"])],
     }[argv[2]]
-    monkeypatch.setattr(ops, name, stand_in)
-    code, out = run_cli(capsys, *argv)
-    assert code == 1
-    assert "FAIL  %s\n" % failure in out
+    for name, stand_in, failures in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, name, stand_in)
+            code, out = run_cli(capsys, *argv)
+        assert code == 1, name
+        for failure in failures:
+            assert "FAIL  %s\n" % failure in out
 
 
 def test_deterministic_output(capsys):
@@ -363,9 +374,22 @@ def test_export_graph_round_trip(tmp_path, capsys):
 
 
 def test_export_missing_flag(tmp_path, capsys):
-    code, _ = run_cli(capsys, "export", "--what", "relations",
-                      "--out", str(tmp_path / "x.json"))
+    out_path = tmp_path / "out"
+    for what, flag in (("relations", "--weight"), ("dims", "--max-weight"),
+                       ("graph", "--graph")):
+        code = main(["export", "--what", what, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: export %s needs %s\n" % (what, flag)
+    # a format the export cannot write is named before a missing option
+    code = main(["export", "--what", "relations", "--format", "csv",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.err == \
+        "error: export --what relations writes json, not csv\n"
+    assert not out_path.exists()
 
 
 def test_export_bad_path(capsys):
@@ -375,8 +399,72 @@ def test_export_bad_path(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("spec", ["wheel:4", "wheel:abc", "theta:1:2,3",
-                                  "cube"])
+def test_export_writes_through_a_link(tmp_path, capsys):
+    # the file behind the link is replaced; the link stays a link
+    target = tmp_path / "k12.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out = run_cli(capsys, "export", "--what", "relations",
+                        "--weight", "12", "--out", str(link))
+    assert code == 0
+    assert out == "wrote %s\n" % link
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["weight"] == 12
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "k12.json", "link.json"]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "link to a fifo"])
+def test_export_refuses_what_is_no_regular_file(tmp_path, capsys, kind):
+    out_path = tmp_path / "out"
+    if kind == "directory":
+        out_path.mkdir()
+        is_kind = stat.S_ISDIR
+    elif kind == "fifo":
+        os.mkfifo(out_path)
+        is_kind = stat.S_ISFIFO
+    else:
+        os.mkfifo(tmp_path / "fifo")
+        out_path.symlink_to(tmp_path / "fifo")
+        is_kind = stat.S_ISLNK
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["export", "--what", "relations", "--weight", "12",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        "error: --out %s names no regular file\n" % out_path
+    assert is_kind(out_path.lstat().st_mode)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_export_failed_rename_leaves_no_partial_file(
+        tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code = main(["export", "--what", "relations", "--weight", "12",
+                 "--out", str(tmp_path / "k12.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "rename refused" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+BAD_GRAPH_SPECS = {
+    "wheel:4": "odd number of spokes",
+    "wheel:abc": "invalid literal",
+    "theta:1:2,3": "three hair counts",
+    "cube": "it must be wheel:",
+    "figure-eight:2": "two loop lengths",
+    "figure-eight:1,3": "at least two interior vertices",
+}
+
+
+@pytest.mark.parametrize("spec", list(BAD_GRAPH_SPECS))
 def test_export_bad_graph_spec_is_usage_error(tmp_path, capsys, spec):
     out_path = tmp_path / "out.graph"
     code = main(["export", "--what", "graph", "--graph", spec,
@@ -385,6 +473,7 @@ def test_export_bad_graph_spec_is_usage_error(tmp_path, capsys, spec):
     assert code == 2
     assert captured.out == ""
     assert repr(spec) in captured.err
+    assert BAD_GRAPH_SPECS[spec] in captured.err
     assert not out_path.exists()
 
 

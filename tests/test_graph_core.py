@@ -14,7 +14,7 @@ from grt2.graphs import (
 )
 from grt2.graphs import canon
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
-from grt2.graphs.core import gc2_degree, icg_check
+from grt2.graphs.core import gc2_check, gc2_degree, icg_check
 from helpers import check_canonicalize_invariance
 
 
@@ -23,6 +23,8 @@ def test_graph_validation():
         Graph(2, (False, False), ((0, 0),))  # simple loop
     with pytest.raises(ValueError):
         Graph(2, (False,), ((0, 1),))  # flag length
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        Graph(2, (False, False), ((0, 2),))
     g = Graph(2, (True, False), ((1, 0),))
     assert g.edges == ((0, 1),)  # endpoints are stored sorted
 
@@ -59,6 +61,30 @@ def test_admissibility_names_condition():
               ((0, 1), (0, 2), (1, 2), (1, 2), (0, 1)))
     with pytest.raises(ValueError, match="double"):
         icg_check(g)
+    with pytest.raises(ValueError, match="no external vertex"):
+        icg_check(wheel(3))
+    # two internal triangles, every vertex also joined to the hair
+    triangles = [(0, v) for v in range(1, 7)] + [
+        (1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+    with pytest.raises(ValueError, match="not internally connected"):
+        icg_check(Graph(7, (True,) + (False,) * 6, triangles))
+    # a wheel beside an isolated external vertex
+    apart = Graph(5, (True,) + (False,) * 4,
+                  [(u + 1, v + 1) for u, v in wheel(3).edges])
+    with pytest.raises(ValueError, match="internal part not joined"):
+        icg_check(apart)
+
+
+def test_gc2_admissibility_names_condition():
+    assert gc2_check(wheel(3)) == wheel(3)
+    with pytest.raises(ValueError, match="external vertex"):
+        gc2_check(Graph(4, (True,) + (False,) * 3, wheel(3).edges))
+    with pytest.raises(ValueError, match="valence 2 < 3"):
+        gc2_check(Graph(3, (False,) * 3, ((0, 1), (1, 2), (0, 2))))
+    two_wheels = wheel(3).edges + tuple(
+        (u + 4, v + 4) for u, v in wheel(3).edges)
+    with pytest.raises(ValueError, match="not connected"):
+        gc2_check(Graph(8, (False,) * 8, two_wheels))
 
 
 def test_degrees_and_weight():
@@ -87,6 +113,8 @@ def test_theta_graph_shape():
     assert g.valences()[0] == 11
     with pytest.raises(ValueError):
         theta_graph(1, (0, 0, 3))
+    with pytest.raises(ValueError, match="non-negative"):
+        theta_graph(1, (2, -1, 3))
 
 
 @pytest.mark.parametrize("grade", [5, -1])
@@ -94,6 +122,8 @@ def test_theta_shapes_rejects_bad_grade(grade):
     # the error theta_graph raises, instead of a list of shapes
     with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
         theta_shapes(grade, 6)
+    with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
+        theta_graph(grade, (1, 1, 1))
 
 
 def test_edge_transposition_flips_sign():
@@ -219,9 +249,10 @@ def test_graphtext_errors():
 GOOD_BODY = "V 3 E 2\nv 0 ext\nv 1 int\nv 2 int\ne 0 0 1\ne 1 1 2\n"
 
 
-def assert_rejects_line(text, line):
-    with pytest.raises(ValueError, match=re.escape(repr(line))):
+def assert_rejects_line(text, line, problem=""):
+    with pytest.raises(ValueError, match=re.escape(repr(line))) as info:
         graph_from_text(text)
+    assert str(info.value).startswith(problem)
 
 
 def test_graphtext_good_body_loads():
@@ -266,6 +297,16 @@ def test_graphtext_rejects_non_integer_fields():
     assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 1 x 2"), "e 1 x 2")
     assert_rejects_line(GOOD_BODY.replace("V 3 E 2", "V 3 E two"),
                         "V 3 E two")
+
+
+@pytest.mark.parametrize("line, text, problem", [
+    ("V 3 X 2", GOOD_BODY.replace("E", "X"), "malformed header"),
+    ("V -1 E 0", "V -1 E 0\n", "negative count"),
+    ("v 2 out", GOOD_BODY.replace("v 2 int", "v 2 out"), "vertex flag"),
+    ("w 1 2", GOOD_BODY + "w 1 2\n", "unknown line"),
+])
+def test_graphtext_names_the_problem(line, text, problem):
+    assert_rejects_line(text, line, problem)
 
 
 def test_graphtext_rejects_missing_vertex_line():

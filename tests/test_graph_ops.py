@@ -219,6 +219,26 @@ def test_encode_rejects_other_shapes():
     with pytest.raises(ValueError):
         theta_graph_encode(mark_one_external_raw(wheel(3))
                            .sorted_terms()[0][0])
+    # theta_graph(1, (1, 1, 0)): hair 0, junctions 1 and 2, strand
+    # vertices 3 and 4, then the junction hair (2, 0)
+    theta = theta_graph(1, (1, 1, 0))
+    assert theta.edges == ((1, 3), (0, 3), (2, 3), (1, 4), (0, 4), (2, 4),
+                           (1, 2), (0, 2))
+    # two loops on the ends of a bridge, each loop vertex haired
+    dumbbell = ((1, 3), (0, 3), (3, 4), (0, 4), (1, 4), (1, 2),
+                (2, 5), (0, 5), (5, 6), (0, 6), (2, 6))
+    # a haired triangle beside the theta shape
+    stray = theta.edges + ((5, 6), (6, 7), (5, 7), (0, 5), (0, 6), (0, 7))
+    for n, ext, edges, problem in [
+        (5, (0, 1), theta.edges, "exactly one external vertex"),
+        (5, (0,), theta.edges + ((0, 2),), "junction with two hairs"),
+        (5, (0,), theta.edges[:4] + theta.edges[5:], "bad strand vertex"),
+        (7, (0,), dumbbell, "strand leaves the path"),
+        (8, (0,), stray, "stray internal vertices"),
+    ]:
+        g = Graph(n, tuple(v in ext for v in range(n)), edges)
+        with pytest.raises(ValueError, match=problem):
+            theta_graph_encode(g)
 
 
 def test_theta_graph_sum_inverts_encoding():
@@ -357,6 +377,8 @@ def test_insertion_counts():
     term = insert_at(g1, 0, g2, (0, 0, 0))
     assert term.n == g1.n + g2.n - 1
     assert term.num_edges == g1.num_edges + g2.num_edges
+    with pytest.raises(ValueError, match="one target per loose edge"):
+        insert_at(g1, 0, g2, (0, 0))
 
 
 def test_theta_identity():

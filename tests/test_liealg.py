@@ -34,6 +34,8 @@ def test_ad_power_small():
     assert ad_power(0) == NCPoly({"y": 1})
     assert ad_power(1) == NCPoly({"xy": 1, "yx": -1})
     assert ad_power(2) == NCPoly({"xxy": 1, "xyx": -2, "yxx": 1})
+    with pytest.raises(ValueError, match="must be non-negative"):
+        ad_power(-1)
 
 
 def test_ad_power_is_iterated_bracket():

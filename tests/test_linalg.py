@@ -80,6 +80,8 @@ def test_kernel_mod_image_trivial():
     assert kernel_mod_image([], [[1, 0]], 2) == []
     kern = kernel_mod_image([[1, 0]], [], 2)
     assert kern == []
+    with pytest.raises(ValueError, match="outside a space of dimension 2"):
+        kernel_mod_image([[1, 0, 1]], [], 2)
 
 
 def test_normalize_integer_vector():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from grt2.linalg import rank_of_columns
 from grt2.perms import (
     CYCLE_123,
@@ -8,6 +10,7 @@ from grt2.perms import (
     S3,
     SWAP_12,
     SWAP_13,
+    Perm3,
     is_normal_form,
     sign_coinvariant_normal_form,
 )
@@ -60,6 +63,12 @@ def test_induced_action_on_lifted_power():
     xy = Poly2({(1, 0): 1, (0, 1): 1})
     assert induced_action(SWAP_13, m) == \
         -(xy * xy * xy * xy) * Poly2.monomial((0, 4))
+
+
+def test_perm3_rejects_a_non_permutation():
+    for images in ((0, 1, 1), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Perm3(images)
 
 
 def test_group_laws_all_actions():

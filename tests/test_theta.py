@@ -55,6 +55,8 @@ def test_theta_element_validation():
         ThetaElement(0, Poly3.monomial((3, 1, 0)))  # even degree in grade 0
     with pytest.raises(ValueError):
         ThetaElement(2, Poly3.monomial((2, 1, 0)))  # odd degree in grade 2
+    with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
+        ThetaElement(3, Poly3.zero())
     elem = ThetaElement(1, Poly3.monomial((2, 3, 0)))
     assert elem.value == Poly3({(3, 2, 0): -1})  # normalized on entry
 
@@ -94,6 +96,12 @@ def test_weight_slice_examples():
     assert weight_slice_basis(2, 2) == []
     assert weight_slice_basis(1, 7) == [(5, 1, 0), (4, 2, 0), (3, 2, 1)]
     assert weight_slice_basis(0, 3) == []
+    for grade in (0, 1, 2):
+        for weight in range(1, 40):
+            basis = weight_slice_basis(grade, weight)
+            assert basis == sorted(basis, reverse=True), (grade, weight)
+    with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
+        weight_slice_basis(-1, 7)
 
 
 def test_cohomology_dims_small():
