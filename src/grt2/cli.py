@@ -216,25 +216,27 @@ def check_encoding(weight_cap):
     return results
 
 
-def _above_level_1(bracket):
-    """Whether a wheel bracket is nonzero with every term at filtration
-    level at least 2; a zero bracket would pass the second part vacuously.
-    """
-    from .graphs.ops import filtration_value
+def _lowest_levels(a, b):
+    """The filtration-level line of [w_a, w_b] and its level-2 part.
 
-    return not bracket.is_zero() and all(
-        filtration_value(c) >= 2 for c in bracket.terms)
+    The bracket lies at level >= 2 when its level-1 part is zero and its
+    level-2 part is not; a zero bracket fails.  Level 0 cannot occur: no
+    vertex of a simple graph has valence n.
+    """
+    from .graphs.ops import level_bracket, wheel_class
+
+    wa, wb = wheel_class(a), wheel_class(b)
+    level2 = level_bracket(wa, wb, 2)
+    ok = level_bracket(wa, wb, 1).is_zero() and not level2.is_zero()
+    return ("[w%d,w%d] every term at filtration level >= 2" % (a, b),
+            ok), level2
 
 
 def check_bowtie(_cap):
-    from .graphs.ops import (bowtie_difference, filtration_value,
-                             gc2_bracket, wheel_class)
+    from .graphs.ops import bowtie_difference
 
-    results = []
-    br = gc2_bracket(wheel_class(3), wheel_class(5))
-    results.append(("[w3,w5] every term at filtration level >= 2",
-                    _above_level_1(br)))
-    level2 = br.restrict(lambda c: filtration_value(c) == 2)
+    line, level2 = _lowest_levels(3, 5)
+    results = [line]
     diff = bowtie_difference(3, 5)
     ok = False
     if diff:
@@ -249,7 +251,7 @@ def check_bowtie(_cap):
 
 def check_filtration(size_cap):
     from .graphs.build import wheel
-    from .graphs.ops import filtration_value, gc2_bracket, wheel_class
+    from .graphs.ops import filtration_value
 
     if size_cap < 9:
         raise UsageError("--size-cap %d is below 9, the vertex count of "
@@ -262,10 +264,7 @@ def check_filtration(size_cap):
     if size_cap >= 11:
         pairs.append((3, 7))
     for a, b in pairs:
-        br = gc2_bracket(wheel_class(a), wheel_class(b))
-        results.append(
-            ("[w%d,w%d] every term at filtration level >= 2" % (a, b),
-             _above_level_1(br)))
+        results.append(_lowest_levels(a, b)[0])
     return results
 
 
@@ -319,9 +318,12 @@ def cmd_graphs(args):
 
 def _regular_target(path):
     """The file an ``--out`` path names, the path itself unless it is a
-    link; one that exists and is not a regular file (a FIFO, a device, a
-    directory) is a usage error, so it is never replaced.
+    link; an empty path, or one that exists and is not a regular file (a
+    FIFO, a device, a directory), is a usage error, so it is never
+    replaced.
     """
+    if not path:
+        raise UsageError("--out is empty; it must name a file")
     target = os.path.realpath(path) if os.path.islink(path) else path
     if os.path.lexists(target) and not os.path.isfile(target):
         raise UsageError("--out %s names no regular file" % path)
@@ -329,14 +331,21 @@ def _regular_target(path):
 
 
 def _write_atomic(path, text):
+    """Write text to ``<path>.partial`` and rename it onto path.
+
+    The partial file is created exclusively, so whatever already has its
+    name (a link, a stale file) fails the export and is neither followed
+    nor removed.  Only the partial file this call created is removed
+    when the write or the rename fails, or the run is interrupted.
+    """
     tmp = path + ".partial"
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    except BaseException:
+        os.remove(tmp)
         raise
 
 

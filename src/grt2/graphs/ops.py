@@ -223,14 +223,14 @@ def insert_at(g1, j, g2, assignment):
     return Graph(n, (False,) * n, tuple(edges))
 
 
-def pre_lie_raw(g1, g2):
-    """Sum over all vertices of g1 and all reattachments of the loose
-    edges to vertices of g2, canonicalized.
+def _insertion_sum(g1, g2, pairs):
+    """Canonicalized sum of ``insert_at(g1, j, g2, assignment)`` over
+    the (vertex j, assignment) pairs, one term per orbit.
 
-    Aut(g1) x Aut(g2) acts on the pairs (vertex j, assignment): sigma
-    moves j to sigma(j) and each loose edge to its image, tau moves
-    each target t to tau(t).  The sum runs over its orbits through
-    :func:`_orbit_sum`; the product group is walked pair by pair and
+    Aut(g1) x Aut(g2) acts on the pairs: sigma moves j to sigma(j) and
+    each loose edge to its image, tau moves each target t to tau(t).
+    ``pairs`` must be a union of orbits; the sum runs over them through
+    :func:`_orbit_sum`, and the product group is walked pair by pair and
     never built as a list.
     """
     aut1, aut2 = automorphisms(g1), automorphisms(g2)
@@ -255,21 +255,107 @@ def pre_lie_raw(g1, g2):
                 orbit.add((sigma[j], tuple(image)))
         return orbit
 
-    pairs = ((j, assignment) for j in range(g1.n)
-             for assignment in product(range(g2.n), repeat=len(loose[j])))
     return _orbit_sum(pairs, orbit_of,
                       lambda pair: insert_at(g1, pair[0], g2, pair[1]))
 
 
-def gc2_bracket(s1, s2):
-    """Graded commutator of the insertion product on graph sums."""
+def pre_lie_raw(g1, g2):
+    """Sum over all vertices of g1 and all reattachments of the loose
+    edges to vertices of g2, canonicalized.
+    """
+    pairs = ((j, assignment) for j, m in enumerate(g1.valences())
+             for assignment in product(range(g2.n), repeat=m))
+    return _insertion_sum(g1, g2, pairs)
+
+
+def _capped(m, caps):
+    """The tuples of m vertices in which each vertex u occurs at most
+    ``caps[u]`` times.
+    """
+    if m == 0:
+        yield ()
+        return
+    for u, cap in enumerate(caps):
+        if cap:
+            rest = caps[:u] + (cap - 1,) + caps[u + 1:]
+            for tail in _capped(m - 1, rest):
+                yield (u,) + tail
+
+
+def _level_pairs(g1, g2, p):
+    """Each (j, assignment) pair whose insertion has filtration value p,
+    once; see :func:`level_part`.
+    """
+    top = g1.n + g2.n - 1 - p
+    caps = tuple(top - d for d in g2.valences())
+    if min(caps) < 0:
+        return
+    valence = g1.valences()
+    for j, m in enumerate(valence):
+        rest = max(valence[:j] + valence[j + 1:], default=0)
+        if rest > top:
+            continue
+        if rest == top:
+            for assignment in _capped(m, caps):
+                yield j, assignment
+            continue
+        for u, cap in enumerate(caps):
+            below = tuple(c - 1 for c in caps[:u]) + (0,) + caps[u + 1:]
+            if cap > m or min(below) < 0:
+                continue
+            for chosen in combinations(range(m), cap):
+                others = [i for i in range(m) if i not in chosen]
+                for filling in _capped(len(others), below):
+                    assignment = [u] * m
+                    for i, t in zip(others, filling):
+                        assignment[i] = t
+                    yield j, tuple(assignment)
+
+
+def level_part(g1, g2, p):
+    """The terms of ``pre_lie_raw(g1, g2)`` at filtration value p,
+    summed over only the (j, assignment) pairs that reach value p.
+
+    Inserting g2 at vertex j of g1 gives n = n1 + n2 - 1 vertices.  Every
+    other vertex of g1 keeps its valence, and a vertex u of g2 gets
+    deg(u) plus the number k_u of loose edges sent to it.  So the term
+    has value p, i.e. top valence ``n - p``, exactly when no vertex
+    exceeds ``n - p`` (k_u <= n - p - deg(u) for every u, and no other
+    vertex of g1 is above ``n - p``) and some vertex reaches it.  If
+    another vertex of g1 reaches it, every such capped assignment
+    counts.  Otherwise some u has k_u = n - p - deg(u), and each
+    assignment is produced once, from its least such u: choose which
+    loose edges go to u, then send the rest to the vertices before u,
+    below their caps, and to those after u, within them.  The full
+    product of assignments is never walked.  Valences are invariant
+    under automorphisms, so the pairs are a union of orbits.
+    """
+    return _insertion_sum(g1, g2, _level_pairs(g1, g2, p))
+
+
+def _bracket(s1, s2, product_raw):
+    """Graded commutator of the bilinear extension of ``product_raw``,
+    a product of two graphs, on graph sums.
+    """
     terms = {}
     for c1, a1 in s1.terms.items():
         for c2, a2 in s2.terms.items():
             koszul = -1 if (gc2_degree(c1) * gc2_degree(c2)) % 2 else 1
-            _add_scaled(terms, pre_lie_raw(c1, c2), a1 * a2)
-            _add_scaled(terms, pre_lie_raw(c2, c1), -koszul * a1 * a2)
+            _add_scaled(terms, product_raw(c1, c2), a1 * a2)
+            _add_scaled(terms, product_raw(c2, c1), -koszul * a1 * a2)
     return GraphSum(terms)
+
+
+def gc2_bracket(s1, s2):
+    """Graded commutator of the insertion product on graph sums."""
+    return _bracket(s1, s2, pre_lie_raw)
+
+
+def level_bracket(s1, s2, p):
+    """The filtration-value-p part of ``gc2_bracket(s1, s2)``, built
+    from :func:`level_part` alone.
+    """
+    return _bracket(s1, s2, lambda g1, g2: level_part(g1, g2, p))
 
 
 def wheel_class(spokes):

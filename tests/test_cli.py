@@ -257,7 +257,8 @@ def test_zero_wheel_bracket_fails(capsys, monkeypatch, argv):
     # when one graph operation it runs is broken.  "Every term at
     # filtration level >= 2" holds vacuously for a zero bracket, so a
     # bracket that came out zero must fail, and its zero level-2 part is
-    # no nonzero multiple of the bowtie difference; so must a zero bowtie
+    # no nonzero multiple of the bowtie difference; so must a bracket
+    # with a nonzero level-1 part, a zero bowtie
     # difference, a differential whose square is not zero, an image term
     # of no theta shape, and a marking that lost its terms.
     from grt2.graphs import ops
@@ -268,10 +269,16 @@ def test_zero_wheel_bracket_fails(capsys, monkeypatch, argv):
     above_1 = "[w3,w5] every term at filtration level >= 2"
     multiple = ("level-2 part of [w3,w5] is a nonzero multiple of the "
                 "bowtie difference")
+    level = ops.level_bracket
+
+    def level_1_nonzero(s1, s2, p):
+        return ops.wheel_class(3) if p == 1 else level(s1, s2, p)
+
     cases = {
-        "filtration": [("gc2_bracket", lambda s1, s2: GraphSum(),
-                        [above_1])],
-        "bowtie": [("gc2_bracket", lambda s1, s2: GraphSum(),
+        "filtration": [("level_bracket", lambda s1, s2, p: GraphSum(),
+                        [above_1]),
+                       ("level_bracket", level_1_nonzero, [above_1])],
+        "bowtie": [("level_bracket", lambda s1, s2, p: GraphSum(),
                     [above_1, multiple]),
                    ("bowtie_difference", lambda i, j: GraphSum(),
                     [multiple])],
@@ -373,7 +380,8 @@ def test_export_graph_round_trip(tmp_path, capsys):
     assert graph_to_text(graph_from_text(text)) == text
 
 
-def test_export_missing_flag(tmp_path, capsys):
+def test_export_missing_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     out_path = tmp_path / "out"
     for what, flag in (("relations", "--weight"), ("dims", "--max-weight"),
                        ("graph", "--graph")):
@@ -389,7 +397,14 @@ def test_export_missing_flag(tmp_path, capsys):
     assert code == 2
     assert captured.err == \
         "error: export --what relations writes json, not csv\n"
-    assert not out_path.exists()
+    # an empty --out names no file; nothing is written
+    code = main(["export", "--what", "relations", "--weight", "12",
+                 "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --out is empty; it must name a file\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_bad_path(capsys):
@@ -452,6 +467,36 @@ def test_export_failed_rename_leaves_no_partial_file(
     assert code == 1
     assert "rename refused" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_export_never_follows_a_link_at_the_partial_path(tmp_path, capsys):
+    other = tmp_path / "other.txt"
+    other.write_text("keep\n")
+    partial = tmp_path / "out.json.partial"
+    partial.symlink_to(other)
+    out_path = tmp_path / "out.json"
+    code = main(["export", "--what", "relations", "--weight", "12",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert str(partial) in captured.err
+    assert other.read_text() == "keep\n"
+    assert partial.is_symlink() and partial.resolve() == other
+    assert not os.path.lexists(out_path)
+
+
+def test_export_leaves_a_stale_partial_file(tmp_path, capsys):
+    partial = tmp_path / "out.json.partial"
+    partial.write_text("stale\n")
+    out_path = tmp_path / "out.json"
+    code = main(["export", "--what", "relations", "--weight", "12",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert str(partial) in captured.err
+    assert partial.read_text() == "stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json.partial"]
 
 
 BAD_GRAPH_SPECS = {

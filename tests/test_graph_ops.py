@@ -13,7 +13,7 @@ from grt2.cli import (
     check_filtration,
     check_theta_identity,
 )
-from grt2.graphs import canon
+from grt2.graphs import canon, ops
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
 from grt2.graphs.core import Graph, GraphSum, icg_check
@@ -26,6 +26,8 @@ from grt2.graphs.ops import (
     icg_differential_raw,
     insert_at,
     internal_loop_count,
+    level_bracket,
+    level_part,
     mark_one_external_raw,
     pre_lie_raw,
     split_terms,
@@ -256,8 +258,6 @@ def test_theta_graph_sum_inverts_encoding():
 
 def test_theta_graph_sum_refuses_a_zero_reference(monkeypatch):
     # a reference graph whose class is zero has no sum to stand for it
-    from grt2.graphs import ops
-
     doubled = Graph(3, (True, False, False), ((0, 1), (1, 2), (1, 2)))
     monkeypatch.setattr(ops, "theta_graph", lambda grade, counts: doubled)
     elem = ThetaElement(1, Poly3.monomial((2, 1, 0)))
@@ -293,6 +293,49 @@ def test_bracket_filtration_additivity():
 
 def test_bracket_level2_is_bowtie_difference():
     assert not failed_cases(check_bowtie(None))
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (3, 7), (5, 7), (3, 9)])
+def test_level_part_matches_restricted_product(a, b):
+    # every level up to the largest one present, in both insertion
+    # orders, plus the empty levels on either side
+    for g1, g2 in ((wheel(a), wheel(b)), (wheel(b), wheel(a))):
+        full = pre_lie_raw(g1, g2)
+        top = max(filtration_value(c) for c in full.terms)
+        for p in range(top + 2):
+            want = full.restrict(lambda c: filtration_value(c) == p)
+            assert level_part(g1, g2, p) == want, (a, b, p)
+
+
+def test_level_pairs_list_each_qualifying_pair_once():
+    for a, b in ((3, 5), (5, 3), (3, 7), (7, 3)):
+        g1, g2 = wheel(a), wheel(b)
+        values = {}
+        for j, m in enumerate(g1.valences()):
+            for assignment in product(range(g2.n), repeat=m):
+                g = insert_at(g1, j, g2, assignment)
+                values[j, assignment] = filtration_value(g)
+        for p in range(max(values.values()) + 2):
+            pairs = list(ops._level_pairs(g1, g2, p))
+            assert len(pairs) == len(set(pairs)), (a, b, p)
+            assert set(pairs) == {c for c, v in values.items() if v == p}
+
+
+def test_level_2_bracket_is_a_bowtie_multiple():
+    # gr_2 [w_a, w_b] = -lambda_a lambda_b D(a, b), where lambda_a is half
+    # the order of Aut(w_a)
+    lam = {a: len(automorphisms(wheel(a))) // 2 for a in range(3, 14, 2)}
+    for a in range(3, 14, 2):
+        for b in range(a + 2, 14, 2):
+            level2 = level_bracket(wheel_class(a), wheel_class(b), 2)
+            diff = bowtie_difference(a, b)
+            assert not diff.is_zero()
+            assert level2 == diff.scale(-lam[a] * lam[b]), (a, b)
+
+
+def test_level_1_bracket_is_zero():
+    for a, b in ((3, 5), (3, 7), (5, 7)):
+        assert level_bracket(wheel_class(a), wheel_class(b), 1).is_zero()
 
 
 # The 4-spoke wheel: a rim reflection is an odd automorphism, so its
