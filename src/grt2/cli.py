@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .liealg import bracket_kernel, schneps_check
@@ -241,8 +240,9 @@ def check_bowtie(_cap):
     ok = False
     if diff:
         c, d = next(iter(diff.terms.items()))
-        r = Fraction(level2.terms.get(c, 0), d)
-        ok = r != 0 and level2 == diff.scale(r)
+        # level2 = (a/d) * diff, decided in ints
+        a = level2.terms.get(c, 0)
+        ok = a != 0 and level2.scale(d) == diff.scale(a)
     results.append(
         ("level-2 part of [w3,w5] is a nonzero multiple of the "
          "bowtie difference", ok))

@@ -37,7 +37,7 @@ def theta_graph(grade, counts):
     most one strand may be bare, otherwise the junctions acquire a
     double edge.
     """
-    if grade not in (0, 1, 2):
+    if type(grade) is not int or grade not in (0, 1, 2):
         raise ValueError("grade must be 0, 1 or 2")
     k1, k2, k3 = counts
     if min(counts) < 0:
@@ -68,7 +68,7 @@ def theta_shapes(grade, max_weight):
     The weight counts the strand hairs and the 2 - grade junction
     hairs.  Only k3 may be 0: two bare strands form a double edge.
     """
-    if grade not in (0, 1, 2):
+    if type(grade) is not int or grade not in (0, 1, 2):
         raise ValueError("grade must be 0, 1 or 2")
     maxdeg = max_weight - (2 - grade)
     return [(k1, k2, k3)

@@ -23,11 +23,14 @@ returned here is canonical.
 
 Rank, kernels, row spaces, span tests and the kernel modulo an image are
 thin wrappers over that one engine.
+
+:mod:`fractions` is loaded only by code that builds or receives a
+rational value: a Fraction entry, a nonempty dependency tag or a
+reduced row echelon form.  Rank over int vectors never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -46,6 +49,8 @@ def _integral(vec, tag=()):
     for out, values in zip(sparse, (vec, tag)):
         for i, v in _entries(values):
             if type(v) is not int:
+                if m is None:
+                    from fractions import Fraction
                 if type(v) is not Fraction:
                     raise ValueError("entry %r is not an int or a Fraction: "
                                      "%r" % (i, v))
@@ -122,6 +127,9 @@ class Echelon:
             if tag or row_tag:
                 tag = _combine(tag, a, b, row_tag)
             m *= a
+        if not tag:
+            return {}
+        from fractions import Fraction
         return {i: Fraction(x, m) for i, x in tag.items()}
 
     def reduced_rows(self):
@@ -130,6 +138,7 @@ class Echelon:
         each row a sparse dict of Fractions, 1 at its leading index and
         zero at every other leading index.
         """
+        from fractions import Fraction
         done = {}
         for lead in sorted(self._pivots, reverse=True):
             row = dict(self._pivots[lead][0])
@@ -147,6 +156,7 @@ class Echelon:
 
 
 def _dense(vec, n):
+    from fractions import Fraction
     zero = Fraction(0)
     return [vec.get(i, zero) for i in range(n)]
 
@@ -180,7 +190,7 @@ def rref(rows):
     ncols = _width(rows)
     reduced = Echelon(rows).reduced_rows()
     mat = [_dense(row, ncols) for _, row in reduced]
-    mat += [[Fraction(0)] * ncols for _ in range(len(rows) - len(mat))]
+    mat += [_dense({}, ncols) for _ in range(len(rows) - len(mat))]
     return mat, [lead for lead, _ in reduced]
 
 

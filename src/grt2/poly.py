@@ -19,14 +19,14 @@ The sparse base they share also carries the graph sums of
 A coefficient is stored as an ``int`` when it is integral and as a
 :class:`fractions.Fraction` only when it is not, so integer data never
 pays for rational arithmetic; any other value, such as a ``float`` or a
-``str``, raises ``ValueError``.  Zero terms are never stored, so
+``str``, raises ``ValueError``.  :mod:`fractions` is loaded only by code
+that builds or receives a value that is not an int, so integer sums and
+products never load it.  Zero terms are never stored, so
 equality is structural.  Instances are treated as immutable:
 no method mutates ``self`` or its arguments.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def _exact(c):
@@ -35,6 +35,7 @@ def _exact(c):
     """
     if type(c) is int:
         return c
+    from fractions import Fraction
     if type(c) is Fraction:
         return c.numerator if c.denominator == 1 else c
     return None
@@ -110,15 +111,16 @@ class _SparsePoly:
         return type(self)({k: f * v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+        if not isinstance(c, int):
+            from fractions import Fraction
+            if not isinstance(c, Fraction):
+                return NotImplemented
+        return self.scale(c)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        # a product of two polynomials never loads fractions
         if type(other) is not type(self) or self._mul_key is None:
-            return NotImplemented
+            return self.__rmul__(other)
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

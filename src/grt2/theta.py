@@ -16,7 +16,6 @@ degree n in grade g is n + 2 - g; the differential preserves it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
@@ -42,7 +41,7 @@ class ThetaElement:
     __slots__ = ("grade", "value")
 
     def __init__(self, grade, value):
-        if grade not in (0, 1, 2):
+        if type(grade) is not int or grade not in (0, 1, 2):
             raise ValueError("grade must be 0, 1 or 2")
         if not is_normal_form(value):
             value = sign_coinvariant_normal_form(value)
@@ -89,7 +88,7 @@ def weight_slice_basis(grade, weight):
     """Strictly decreasing exponent triples spanning one weight slice,
     in decreasing order: the loops run k1, then k2, downwards.
     """
-    if grade not in (0, 1, 2):
+    if type(grade) is not int or grade not in (0, 1, 2):
         raise ValueError("grade must be 0, 1 or 2")
     deg = weight - (2 - grade)
     if deg < 0:
@@ -134,8 +133,10 @@ def _d0_columns(grade, weight):
 
 
 def _check_degree_weight(i, k):
-    if i not in (0, 1, 2):
+    if type(i) is not int or i not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
+    if type(k) is not int:
+        raise ValueError("weight must be an int, got %r" % (k,))
     if k < 1:
         raise ValueError("weight must be >= 1")
 
@@ -246,7 +247,10 @@ def psi(p):
     for key, c in _psi_scaled(p.terms).items():
         d = _psi_scale(key[0] + key[1])
         q, r = divmod(c, d)
-        out[key] = Fraction(c, d) if r else q
+        if r:
+            from fractions import Fraction
+            q = Fraction(c, d)
+        out[key] = q
     return Poly2(out)
 
 

@@ -331,19 +331,45 @@ def test_startup_does_not_import_dataclasses(tmp_path):
     # The cli imports the graph modules inside the commands that use
     # them, so importing it alone loads no grt2.graphs module.  The value
     # classes are plain __slots__ classes, so loading the graph commands
-    # pulls in neither dataclasses nor inspect (nor what inspect loads).
+    # pulls in neither dataclasses nor inspect (nor what inspect loads),
+    # and Fraction is imported only where a rational value is built, so
+    # neither fractions nor the decimal and numbers modules it loads.
     # -S keeps site hooks from importing them instead.
     import_root = str(Path(grt2.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import grt2.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.startswith('grt2.graphs'))); "
             "import grt2.graphs.ops; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', "
+            "'numbers'} & set(sys.modules)))"
             % import_root)
     result = subprocess.run([sys.executable, "-S", "-c", code],
                             capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n[]\n"
+
+
+def test_dims_and_graph_commands_never_load_fractions(tmp_path):
+    # The dimension table and the graph identities are integer
+    # computations, bowtie's ratio included, so none of these commands
+    # loads fractions.  -S keeps site hooks from importing it instead.
+    commands = [
+        ["dims", "--degree", "1", "--max-weight", "14"],
+        ["graphs", "--check", "d-squared", "--size-cap", "5"],
+        ["graphs", "--check", "encoding", "--size-cap", "5"],
+        ["graphs", "--check", "theta-identity"],
+        ["graphs", "--check", "bowtie"],
+        ["graphs", "--check", "filtration", "--size-cap", "9"],
+    ]
+    import_root = str(Path(grt2.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); from grt2.cli import main; "
+            "codes = [main(argv) for argv in %r]; "
+            "print(codes, 'fractions' in sys.modules)"
+            % (import_root, commands))
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 def test_export_relations(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_theta_graph_shape():
         theta_graph(1, (2, -1, 3))
 
 
-@pytest.mark.parametrize("grade", [5, -1])
+@pytest.mark.parametrize("grade", [5, -1, True, 1.0])
 def test_theta_shapes_rejects_bad_grade(grade):
     # the error theta_graph raises, instead of a list of shapes
     with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):

@@ -41,6 +41,9 @@ def test_scale_and_subtract():
     assert p.scale(2) == Poly3({(1, 0, 0): 1})
     assert (p - p).is_zero()
     assert 3 * p == p.scale(3)
+    assert Fraction(2) * p == p * Fraction(2) == p.scale(2)
+    with pytest.raises(TypeError):
+        p * 0.5
 
 
 def test_phi_kills_sum_of_variables():

@@ -55,8 +55,9 @@ def test_theta_element_validation():
         ThetaElement(0, Poly3.monomial((3, 1, 0)))  # even degree in grade 0
     with pytest.raises(ValueError):
         ThetaElement(2, Poly3.monomial((2, 1, 0)))  # odd degree in grade 2
-    with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
-        ThetaElement(3, Poly3.zero())
+    for grade in (3, True, 1.0):
+        with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
+            ThetaElement(grade, Poly3.zero())
     elem = ThetaElement(1, Poly3.monomial((2, 3, 0)))
     assert elem.value == Poly3({(3, 2, 0): -1})  # normalized on entry
 
@@ -120,6 +121,9 @@ def test_cohomology_dims_small():
     (5, 7, "degree must be 0, 1 or 2"),
     (-1, 6, "degree must be 0, 1 or 2"),
     (1, 0, "weight must be >= 1"),
+    (True, 5, "degree must be 0, 1 or 2"),
+    (1, 7.0, "weight must be an int, got 7.0"),
+    (1, True, "weight must be an int, got True"),
 ])
 def test_closed_form_dim_rejects_what_cohomology_dim_rejects(i, k, message):
     for dim in (cohomology_dim, closed_form_dim):
