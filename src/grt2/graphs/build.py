@@ -10,6 +10,7 @@ coefficients +2 and +1 on the nose, with no stray sign.
 
 from __future__ import annotations
 
+from ..theta import _check_int
 from .core import Graph
 
 
@@ -40,6 +41,8 @@ def theta_graph(grade, counts):
     if type(grade) is not int or grade not in (0, 1, 2):
         raise ValueError("grade must be 0, 1 or 2")
     k1, k2, k3 = counts
+    for c in counts:
+        _check_int("each hair count", c)
     if min(counts) < 0:
         raise ValueError("hair counts must be non-negative")
     if sum(1 for c in counts if c == 0) > 1:
@@ -70,6 +73,7 @@ def theta_shapes(grade, max_weight):
     """
     if type(grade) is not int or grade not in (0, 1, 2):
         raise ValueError("grade must be 0, 1 or 2")
+    _check_int("max_weight", max_weight)
     maxdeg = max_weight - (2 - grade)
     return [(k1, k2, k3)
             for k1 in range(1, maxdeg + 1)
@@ -85,6 +89,8 @@ def figure_eight(c1, c2):
     the vertex-splitting differential carries the graph onto the marked
     bowtie difference plus four times the theta class, without a sign.
     """
+    _check_int("c1", c1)
+    _check_int("c2", c2)
     if c1 < 2 or c2 < 2:
         raise ValueError("loops need at least two interior vertices")
     ext, center = 0, 1
@@ -103,6 +109,7 @@ def wheel(spokes):
     Even wheels are rejected: a reflection of the rim induces an odd
     edge permutation, so they vanish in the sign quotient.
     """
+    _check_int("spokes", spokes)
     if spokes < 3 or spokes % 2 == 0:
         raise ValueError("wheels need an odd number of spokes, at least 3")
     n = spokes + 1

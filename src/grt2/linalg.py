@@ -15,18 +15,16 @@ vector becomes (p/g) * vector - (v/g) * row.  The remainder, if any,
 becomes a new pivot.  Stored pivots are never touched again, so one
 vector costs work proportional to the pivots it meets, not to the
 number stored.  A tag vector may ride along and undergoes the same row
-operations; a vector that reduces to zero hands back its tag divided by
-the factor the vector was multiplied by, which is then a linear
-dependency among the tagged inputs.  One back-substitution at the end
-gives the reduced row echelon form, which is unique, so every basis
-returned here is canonical.
+operations; a vector that reduces to zero hands back its reduced tag, a
+linear dependency among the tagged inputs that is positive at the
+vector's own unit index.  One back-substitution at the end gives the
+reduced row echelon form, each row scaled to primitive ints with a
+positive leading entry.  That form is unique, so every basis returned
+here is canonical.
 
 Rank, kernels, row spaces, span tests and the kernel modulo an image are
-thin wrappers over that one engine.
-
-:mod:`fractions` is loaded only by code that builds or receives a
-rational value: a Fraction entry, a nonempty dependency tag or a
-reduced row echelon form.  Rank over int vectors never loads it.
+thin wrappers over that one engine, and every vector they return holds
+ints: :mod:`fractions` is loaded only to read a Fraction input entry.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ def _entries(vec):
 
 def _integral(vec, tag=()):
     """The nonzero entries of a vector and of its tag as sparse dicts of
-    ints, both multiplied by m, the lcm of their denominators; returns
-    (vec, tag, m).  An entry that is neither an int nor a Fraction, such
-    as a float, raises ValueError naming its index.
+    ints, both multiplied by the lcm of their denominators.  An entry
+    that is neither an int nor a Fraction, such as a float, raises
+    ValueError naming its index.
     """
     sparse = ({}, {})
     m = None  # stays None while every entry is an int
@@ -57,13 +55,12 @@ def _integral(vec, tag=()):
                 m = lcm(m or 1, v.denominator)
             if v:
                 out[i] = v
-    if m is None:
-        return sparse + (1,)
-    for out in sparse:
-        for i, v in out.items():
-            out[i] = (v.numerator * (m // v.denominator)
-                      if type(v) is Fraction else v * m)
-    return sparse + (m,)
+    if m is not None:
+        for out in sparse:
+            for i, v in out.items():
+                out[i] = (v.numerator * (m // v.denominator)
+                          if type(v) is Fraction else v * m)
+    return sparse
 
 
 def _combine(dst, a, b, src):
@@ -100,11 +97,11 @@ class Echelon:
         If a nonzero remainder is left it is stored as a new pivot and
         None is returned.  Otherwise the vector lay in the span of the
         vectors added before, and the reduced tag is returned as a
-        sparse dict of Fractions: a vector d with
-        sum_j d_j * (vector tagged e_j) = 0 when every vector was added
-        with a unit tag ({} when no tag was given).
+        sparse dict of ints: a vector d with
+        sum_j d_j * (vector tagged e_j) = 0 and d_j > 0 for this vector's
+        j when every vector was added with a unit tag ({} without a tag).
         """
-        vec, tag, m = _integral(vec, tag)
+        vec, tag = _integral(vec, tag)
         pivots = self._pivots
         while vec:
             lead = min(vec)
@@ -126,19 +123,14 @@ class Echelon:
             vec = _combine(vec, a, b, row)
             if tag or row_tag:
                 tag = _combine(tag, a, b, row_tag)
-            m *= a
-        if not tag:
-            return {}
-        from fractions import Fraction
-        return {i: Fraction(x, m) for i, x in tag.items()}
+        return tag
 
     def reduced_rows(self):
         """The reduced row echelon form, by one back-substitution: the
         (leading index, row) pairs in increasing order of leading index,
-        each row a sparse dict of Fractions, 1 at its leading index and
-        zero at every other leading index.
+        each row a sparse dict of primitive ints, positive at its leading
+        index and zero at every other leading index.
         """
-        from fractions import Fraction
         done = {}
         for lead in sorted(self._pivots, reverse=True):
             row = dict(self._pivots[lead][0])
@@ -151,14 +143,11 @@ class Echelon:
                 row = _combine(row, other[i] // g, row[i] // g, other)
             g = gcd(*row.values())
             done[lead] = {i: x // g for i, x in row.items()}
-        return [(lead, {i: Fraction(x, row[lead]) for i, x in row.items()})
-                for lead, row in sorted(done.items())]
+        return sorted(done.items())
 
 
 def _dense(vec, n):
-    from fractions import Fraction
-    zero = Fraction(0)
-    return [vec.get(i, zero) for i in range(n)]
+    return [vec.get(i, 0) for i in range(n)]
 
 
 def _width(rows):
@@ -174,16 +163,13 @@ def _width(rows):
 
 
 def _reduced_basis(vectors, n):
-    """Rows of the reduced row echelon form of the vectors, each as a
-    dense list of length n.
-    """
-    ech = Echelon(vectors)
-    return [_dense(row, n) for _, row in ech.reduced_rows()]
+    """The nonzero rows of :func:`rref` of the vectors, of length n."""
+    return [_dense(row, n) for _, row in Echelon(vectors).reduced_rows()]
 
 
 def rref(rows):
-    """Reduced row echelon form of a dense matrix, zero rows last.
-    Returns (rows, pivot_columns).
+    """Reduced row echelon form of a dense matrix in primitive int rows,
+    each led by a positive entry, zero rows last; (rows, pivot_columns).
     """
     if not rows:
         return [], []
@@ -202,8 +188,8 @@ def rank_of_columns(columns):
 
 
 def nullspace(rows):
-    """Basis of the right kernel of the matrix, one vector per free column:
-    1 at that column, 0 at the other free columns.
+    """Basis of the right kernel of the matrix, one int vector per free
+    column: positive at that column, 0 at the other free columns.
     """
     if not rows:
         return []
@@ -218,7 +204,7 @@ def nullspace(rows):
 
 
 def row_space_basis(rows):
-    """Nonzero rows of the reduced row echelon form."""
+    """The nonzero rows of :func:`rref`."""
     if not rows:
         return []
     return _reduced_basis(rows, _width(rows))
@@ -239,8 +225,8 @@ def kernel_mod_image(gen_cols, image_cols, dim):
     Columns are vectors of length ``dim``, as sequences or as mappings
     from index to value.  The image is loaded first, then each generator
     with the unit tag e_i; a generator that reduces to zero hands back a
-    kernel vector.  Returns a basis of coefficient vectors of length
-    len(gen_cols), in reduced row echelon form.
+    kernel vector.  Returns a basis of int coefficient vectors of length
+    len(gen_cols), in the reduced row echelon form of :func:`rref`.
     """
     gens = [dict(_entries(v)) for v in gen_cols]
     image = [dict(_entries(v)) for v in image_cols]

@@ -84,12 +84,19 @@ def d0_theta(elem):
     return ThetaElement(elem.grade + 1, sign_coinvariant_normal_form(image))
 
 
+def _check_int(name, value):
+    """Raise a ValueError naming the argument unless type(value) is int."""
+    if type(value) is not int:
+        raise ValueError("%s must be an int, got %r" % (name, value))
+
+
 def weight_slice_basis(grade, weight):
     """Strictly decreasing exponent triples spanning one weight slice,
     in decreasing order: the loops run k1, then k2, downwards.
     """
     if type(grade) is not int or grade not in (0, 1, 2):
         raise ValueError("grade must be 0, 1 or 2")
+    _check_int("weight", weight)
     deg = weight - (2 - grade)
     if deg < 0:
         return []
@@ -135,8 +142,7 @@ def _d0_columns(grade, weight):
 def _check_degree_weight(i, k):
     if type(i) is not int or i not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    if type(k) is not int:
-        raise ValueError("weight must be an int, got %r" % (k,))
+    _check_int("weight", k)
     if k < 1:
         raise ValueError("weight must be >= 1")
 

@@ -372,6 +372,27 @@ def test_dims_and_graph_commands_never_load_fractions(tmp_path):
     assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
+def test_relations_never_loads_fractions(tmp_path):
+    # The elimination engine hands back primitive int bases, so the
+    # three relation oracles, the symmetry check and the export build no
+    # rational value.  -S keeps site hooks from importing one instead.
+    commands = [
+        ["relations", "--max-weight", "24", "--oracle", "all"],
+        ["export", "--what", "relations", "--weight", "12",
+         "--out", str(tmp_path / "k12.json")],
+    ]
+    import_root = str(Path(grt2.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); from grt2.cli import main; "
+            "codes = [main(argv) for argv in %r]; "
+            "print(codes, sorted({'fractions', 'decimal', 'numbers'} "
+            "& set(sys.modules)))"
+            % (import_root, commands))
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_export_relations(tmp_path, capsys):
     out_path = tmp_path / "k12.json"
     code, _ = run_cli(capsys, "export", "--what", "relations",

@@ -105,6 +105,21 @@ def test_wheel_rejects_even():
         wheel(4)
     with pytest.raises(ValueError):
         wheel(2)
+    for spokes in (7.0, True):
+        with pytest.raises(ValueError,
+                           match="spokes must be an int, got %r" % spokes):
+            wheel(spokes)
+
+
+@pytest.mark.parametrize("c1, c2, message", [
+    (1, 3, "loops need at least two interior vertices"),
+    (2.0, 3, "c1 must be an int, got 2.0"),
+    (2, 3.0, "c2 must be an int, got 3.0"),
+    (True, 3, "c1 must be an int, got True"),
+])
+def test_figure_eight_rejects_bad_loops(c1, c2, message):
+    with pytest.raises(ValueError, match=message):
+        figure_eight(c1, c2)
 
 
 def test_theta_graph_shape():
@@ -115,6 +130,11 @@ def test_theta_graph_shape():
         theta_graph(1, (0, 0, 3))
     with pytest.raises(ValueError, match="non-negative"):
         theta_graph(1, (2, -1, 3))
+    # a bool count used to build the graph of count 1
+    for counts, bad in [((True, 2, 1), True), ((2.0, 1, 0), 2.0)]:
+        with pytest.raises(ValueError, match="each hair count must be an "
+                           "int, got %r" % bad):
+            theta_graph(1, counts)
 
 
 @pytest.mark.parametrize("grade", [5, -1, True, 1.0])
@@ -124,6 +144,14 @@ def test_theta_shapes_rejects_bad_grade(grade):
         theta_shapes(grade, 6)
     with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
         theta_graph(grade, (1, 1, 1))
+
+
+@pytest.mark.parametrize("max_weight", [True, 5.0])
+def test_theta_shapes_rejects_bad_max_weight(max_weight):
+    # True used to give [] and 5.0 a TypeError from range
+    with pytest.raises(ValueError, match="max_weight must be an int, got %r"
+                       % max_weight):
+        theta_shapes(1, max_weight)
 
 
 def test_edge_transposition_flips_sign():

@@ -16,7 +16,7 @@ from grt2.cli import (
 from grt2.graphs import canon, ops
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
-from grt2.graphs.core import Graph, GraphSum, icg_check
+from grt2.graphs.core import Graph, GraphSum, gc2_degree, icg_check
 from grt2.graphs.ops import (
     bowtie,
     bowtie_difference,
@@ -268,6 +268,21 @@ def test_gc2_bracket_antisymmetry():
     w3, w5 = wheel_class(3), wheel_class(5)
     assert gc2_bracket(w3, w3).is_zero()
     assert gc2_bracket(w3, w5) == -gc2_bracket(w5, w3)
+
+
+def test_gc2_bracket_odd_degree_sign():
+    # a nonzero class of GC2 degree -1: the graded commutator is
+    # [a, a] = a.a - (-1)^(1*1) a.a = 2 a.a, where the sign of an
+    # even degree would give zero; every wheel has degree 0
+    g = Graph(6, (False,) * 6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                                (1, 2), (1, 3), (1, 4), (2, 3), (2, 5),
+                                (4, 5)))
+    assert gc2_degree(g) == -1
+    cls, sign = canonicalize(g)
+    assert cls is not None
+    square = gc2_bracket(GraphSum({cls: sign}), GraphSum({cls: sign}))
+    assert not square.is_zero()
+    assert square == pre_lie_raw(cls, cls).scale(2)
 
 
 def test_gc2_bracket_jacobi_truncated():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grt2.linalg import (
@@ -72,8 +72,7 @@ def test_kernel_mod_image():
     gens = [[1, 0], [1, 1]]
     image = [[0, 1]]
     kern = kernel_mod_image(gens, image, 2)
-    assert len(kern) == 1
-    assert normalize_integer_vector(kern[0]) == (1, -1)
+    assert kern == [[1, -1]]
 
 
 def test_kernel_mod_image_trivial():
@@ -193,11 +192,18 @@ def test_nullspace_annihilates_rows(mat):
 
 
 def assert_reduced_echelon(basis, ncols):
+    """The integer reduced echelon form: rows of ncols ints, each
+    primitive with a positive leading entry and zero at the leading
+    index of every other row, in increasing order of leading index.
+    Returns the leading indices.
+    """
     leads = []
     for row in basis:
         assert len(row) == ncols
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1
         lead = next(j for j, x in enumerate(row) if x != 0)
-        assert row[lead] == 1
+        assert row[lead] > 0
         leads.append(lead)
     assert leads == sorted(set(leads))
     for i, lead in enumerate(leads):
@@ -205,18 +211,31 @@ def assert_reduced_echelon(basis, ncols):
     return leads
 
 
+def divided_by_leads(basis, leads):
+    """Each row divided by its leading entry, in Fractions."""
+    return [[Fraction(x, row[lead]) for x in row]
+            for row, lead in zip(basis, leads)]
+
+
+# back-substitution turns the first row into (2, 0, -2), which is not
+# primitive until divided by 2
+UNPRIMITIVE = [[-2, 1, 0], [-1, 0, 1]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
+@example((UNPRIMITIVE, 3))
 def test_row_space_basis_is_reduced_and_spans_rows(mat):
     rows, ncols = mat
     basis = row_space_basis(rows)
     leads = assert_reduced_echelon(basis, ncols)
-    assert len(basis) == reference_rank(rows)
-    # in reduced echelon form a vector of the row space is the combination
-    # of the basis rows weighted by its entries at the leading columns
+    unit = divided_by_leads(basis, leads)
+    assert unit == reference_rref(rows, ncols)
+    # in reduced echelon form with leading 1s a vector of the row space is
+    # the combination of the rows weighted by its entries at the leads
     for row in rows:
         coeffs = [Fraction(row[lead]) for lead in leads]
-        assert combination(coeffs, basis, ncols) == [Fraction(x) for x in row]
+        assert combination(coeffs, unit, ncols) == [Fraction(x) for x in row]
     if rows:
         reduced, pivots = rref(rows)
         assert reduced[:len(basis)] == basis and pivots == leads
@@ -226,14 +245,17 @@ def test_row_space_basis_is_reduced_and_spans_rows(mat):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_rows=5), matrices(max_rows=3))
+# generators whose kernel is the row space of UNPRIMITIVE
+@example(([[0, 0, 1], [0, 0, 2], [0, 0, 1]], 3), ([], 1))
 def test_kernel_mod_image_matches_definition(gens, image):
     # vectors of the same length: a kernel vector a is one whose
     # combination sum_i a_i g_i lies in the span of the image
     gen_rows, dim = gens
     image_rows = [(row + [0] * dim)[:dim] for row in image[0]]
     kernel = kernel_mod_image(gen_rows, image_rows, dim)
-    assert_reduced_echelon(kernel, len(gen_rows))
-    assert reference_rank(kernel) == len(kernel)
+    leads = assert_reduced_echelon(kernel, len(gen_rows))
+    assert divided_by_leads(kernel, leads) \
+        == reference_rref(kernel, len(gen_rows))
     image_rank = reference_rank(image_rows)
     for vec in kernel:
         target = combination(vec, gen_rows, dim)
@@ -276,13 +298,15 @@ SPARSE_VECTORS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(SPARSE_VECTORS)
+@example([dict(enumerate(row)) for row in UNPRIMITIVE])
 def test_echelon_is_fraction_free(vectors):
     dense = [[v.get(c, 0) for c in range(NCOLS)] for v in vectors]
     ech = Echelon()
     for j, vec in enumerate(vectors):
         dep = ech.add(vec, {j: 1})
         if dep is not None:
-            assert dep[j] == 1
+            assert all(type(x) is int for x in dep.values())
+            assert max(dep) == j and dep[j] > 0
             coeffs = [dep.get(i, 0) for i in range(j + 1)]
             assert combination(coeffs, dense[:j + 1], NCOLS) == [0] * NCOLS
     for lead, (row, tag) in ech._pivots.items():
@@ -291,6 +315,7 @@ def test_echelon_is_fraction_free(vectors):
         assert lead == min(row) and row[lead] > 0
         assert gcd(*values) == 1
     reduced = ech.reduced_rows()
-    assert all(type(x) is Fraction for _, row in reduced for x in row.values())
-    assert [[row.get(c, 0) for c in range(NCOLS)] for _, row in reduced] \
-        == reference_rref(dense, NCOLS)
+    basis = [[row.get(c, 0) for c in range(NCOLS)] for _, row in reduced]
+    leads = assert_reduced_echelon(basis, NCOLS)
+    assert leads == [lead for lead, _ in reduced]
+    assert divided_by_leads(basis, leads) == reference_rref(dense, NCOLS)

@@ -103,6 +103,10 @@ def test_weight_slice_examples():
             assert basis == sorted(basis, reverse=True), (grade, weight)
     with pytest.raises(ValueError, match="grade must be 0, 1 or 2"):
         weight_slice_basis(-1, 7)
+    for weight in (True, 7.0):
+        with pytest.raises(ValueError,
+                           match="weight must be an int, got %r" % weight):
+            weight_slice_basis(1, weight)
 
 
 def test_cohomology_dims_small():
