@@ -5,15 +5,16 @@ closed form, ``relations`` computes relation vectors by one or all of
 the three oracles, ``graphs`` runs the graph-identity suites, ``export``
 writes machine-readable files.  Exit status is 0 exactly when every
 asserted identity passed, 1 when one failed, and 2 for a usage error,
-which includes arguments that leave no work to do.  Output is
-deterministic for fixed inputs.
+which includes arguments that leave no work to do and prints one
+``error:`` line.  The options of each command, and the help, come from
+one table, ``COMMANDS``.  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .liealg import bracket_kernel, schneps_check
@@ -443,58 +444,143 @@ def cmd_export(args):
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="grt2",
-        description="Exact two-loop graph cohomology and depth-2 bracket "
-                    "relations.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+# Each command's handler, help line and options.  An option maps to its
+# type (int or str), its choices (None for any value), its default or
+# REQUIRED, and a note for the help, which shows the default when the
+# note is empty.
+COMMANDS = {
+    "dims": (cmd_dims, "cohomology dimension table", {
+        "--max-weight": (int, None, 51, ""),
+        "--degree": (int, (0, 1, 2), REQUIRED, ""),
+        "--format": (str, ("text", "csv", "json"), "text", ""),
+    }),
+    "relations": (cmd_relations, "relation vectors per weight", {
+        "--weight": (int, None, None, "one weight, not with --max-weight"),
+        "--max-weight": (int, None, 28, ""),
+        "--oracle": (str, (*ORACLES, "all"), "all", ""),
+    }),
+    "graphs": (cmd_graphs, "graph-complex property suites", {
+        "--check": (str, tuple(sorted(GRAPH_CHECKS)), REQUIRED, ""),
+        "--size-cap": (int, None, None,
+                       "default 12: the weight cap of d-squared and "
+                       "encoding, the vertex cap of filtration (at least "
+                       "9); bowtie and theta-identity take none"),
+    }),
+    "export": (cmd_export, "write machine-readable files", {
+        "--what": (str, tuple(EXPORT_FORMATS), REQUIRED, ""),
+        "--out": (str, None, REQUIRED, ""),
+        "--format": (str, ("json", "csv", "graphtext"), None,
+                     "default: json for relations and dims, graphtext "
+                     "for graph"),
+        "--weight": (int, None, None, "with --what relations"),
+        "--max-weight": (int, None, None, "with --what dims"),
+        "--degree": (int, (0, 1, 2), None,
+                     "with --what dims; default all three"),
+        "--graph": (str, None, None,
+                    "with --what graph: wheel:<s> | "
+                    "theta:<grade>:<k1>,<k2>,<k3> | figure-eight:<c1>,<c2>"),
+    }),
+}
+# The pair of options of a command that may not be given together.
+EXCLUSIVE = {"relations": ("--weight", "--max-weight")}
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("dims", help="cohomology dimension table")
-    p.add_argument("--max-weight", type=int, default=51)
-    p.add_argument("--degree", type=int, choices=(0, 1, 2), required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"),
-                   default="text")
-    p.set_defaults(func=cmd_dims)
 
-    p = sub.add_parser("relations", help="relation vectors per weight")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--weight", type=int)
-    group.add_argument("--max-weight", type=int, default=28)
-    p.add_argument("--oracle", choices=("psi", "rank", "ihara", "all"),
-                   default="all")
-    p.set_defaults(func=cmd_relations)
+def _command_help(name):
+    _, about, options = COMMANDS[name]
+    lines = ["grt2 %s: %s" % (name, about)]
+    for option, (kind, choices, default, note) in options.items():
+        if choices is not None:
+            shape = "{%s}" % ",".join(map(str, choices))
+        else:
+            shape = "INT" if kind is int else "TEXT"
+        if not note:
+            note = ("required" if default is REQUIRED
+                    else "default %s" % default)
+        lines += ["  %s %s" % (option, shape), "      " + note]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("graphs", help="graph-complex property suites")
-    p.add_argument("--check", choices=sorted(GRAPH_CHECKS), required=True)
-    p.add_argument("--size-cap", type=int,
-                   help="default 12: the weight cap of d-squared and "
-                        "encoding, the vertex cap of filtration (at "
-                        "least 9); bowtie and theta-identity take none")
-    p.set_defaults(func=cmd_graphs)
 
-    p = sub.add_parser("export", help="write machine-readable files")
-    p.add_argument("--what", choices=("relations", "dims", "graph"),
-                   required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv", "graphtext"),
-                   help="default: json for relations and dims, graphtext "
-                        "for graph")
-    p.add_argument("--weight", type=int)
-    p.add_argument("--max-weight", type=int)
-    p.add_argument("--degree", type=int, choices=(0, 1, 2))
-    p.add_argument("--graph",
-                   help="wheel:<s> | theta:<grade>:<k1>,<k2>,<k3> | "
-                        "figure-eight:<c1>,<c2>")
-    p.set_defaults(func=cmd_export)
-    return parser
+def _help():
+    return "".join(
+        ["usage: grt2 COMMAND [--option VALUE | --option=VALUE]...\n"
+         "Exact two-loop graph cohomology and depth-2 bracket relations.\n"
+         "  -h, --help   this text; grt2 COMMAND --help for one command\n"
+         "  --version    the version\n"]
+        + ["\n" + _command_help(name) for name in COMMANDS])
+
+
+def _value(option, kind, choices, text):
+    if kind is int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError("%s takes an int, got %r" % (option, text)) \
+                from None
+    else:
+        value = text
+    if choices is not None and value not in choices:
+        raise UsageError("%s must be one of %s, got %r"
+                         % (option, ", ".join(map(str, choices)), text))
+    return value
+
+
+def parse_args(argv):
+    """The command and option values of a command line as attributes,
+    ``--max-weight`` as ``max_weight``, each option checked against its
+    command's table; every rejection is a UsageError.  For a help or
+    version request the command is None and ``text`` is what to print.
+    """
+    if not argv:
+        raise UsageError("no command; the commands are %s"
+                         % ", ".join(COMMANDS))
+    command = argv[0]
+    if command in HELP:
+        return SimpleNamespace(command=None, text=_help())
+    if command == "--version":
+        return SimpleNamespace(command=None, text=__version__ + "\n")
+    if command not in COMMANDS:
+        raise UsageError("unknown command %r; the commands are %s"
+                         % (command, ", ".join(COMMANDS)))
+    options = COMMANDS[command][2]
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in HELP:
+            return SimpleNamespace(command=None, text=_command_help(command))
+        option, eq, text = arg.partition("=")
+        if option not in options:
+            raise UsageError("%s takes no %s; its options are %s"
+                             % (command, arg, ", ".join(options)))
+        if option in given:
+            raise UsageError("%s is given twice" % option)
+        if not eq:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise UsageError("%s needs a value" % option)
+        kind, choices, _, _ = options[option]
+        given[option] = _value(option, kind, choices, text)
+    pair = EXCLUSIVE.get(command)
+    if pair and all(option in given for option in pair):
+        raise UsageError("%s takes %s or %s, not both"
+                         % ((command,) + pair))
+    for option, (_, _, default, _) in options.items():
+        if option not in given:
+            if default is REQUIRED:
+                raise UsageError("%s needs %s" % (command, option))
+            given[option] = default
+    return SimpleNamespace(command=command, **{
+        opt[2:].replace("-", "_"): value for opt, value in given.items()})
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args.command is None:
+            sys.stdout.write(args.text)
+            return 0
+        return COMMANDS[args.command][0](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ coefficients +2 and +1 on the nose, with no stray sign.
 
 from __future__ import annotations
 
-from ..theta import _check_int
+from ..theta import _check_grade, _check_int
 from .core import Graph
 
 
@@ -38,8 +38,7 @@ def theta_graph(grade, counts):
     most one strand may be bare, otherwise the junctions acquire a
     double edge.
     """
-    if type(grade) is not int or grade not in (0, 1, 2):
-        raise ValueError("grade must be 0, 1 or 2")
+    _check_grade("grade", grade)
     k1, k2, k3 = counts
     for c in counts:
         _check_int("each hair count", c)
@@ -71,8 +70,7 @@ def theta_shapes(grade, max_weight):
     The weight counts the strand hairs and the 2 - grade junction
     hairs.  Only k3 may be 0: two bare strands form a double edge.
     """
-    if type(grade) is not int or grade not in (0, 1, 2):
-        raise ValueError("grade must be 0, 1 or 2")
+    _check_grade("grade", grade)
     _check_int("max_weight", max_weight)
     maxdeg = max_weight - (2 - grade)
     return [(k1, k2, k3)

@@ -41,8 +41,7 @@ class ThetaElement:
     __slots__ = ("grade", "value")
 
     def __init__(self, grade, value):
-        if type(grade) is not int or grade not in (0, 1, 2):
-            raise ValueError("grade must be 0, 1 or 2")
+        _check_grade("grade", grade)
         if not is_normal_form(value):
             value = sign_coinvariant_normal_form(value)
         for key in value.terms:
@@ -90,12 +89,17 @@ def _check_int(name, value):
         raise ValueError("%s must be an int, got %r" % (name, value))
 
 
+def _check_grade(name, value):
+    """Raise a ValueError naming the argument unless value is 0, 1 or 2."""
+    if type(value) is not int or value not in (0, 1, 2):
+        raise ValueError("%s must be 0, 1 or 2" % name)
+
+
 def weight_slice_basis(grade, weight):
     """Strictly decreasing exponent triples spanning one weight slice,
     in decreasing order: the loops run k1, then k2, downwards.
     """
-    if type(grade) is not int or grade not in (0, 1, 2):
-        raise ValueError("grade must be 0, 1 or 2")
+    _check_grade("grade", grade)
     _check_int("weight", weight)
     deg = weight - (2 - grade)
     if deg < 0:
@@ -140,8 +144,7 @@ def _d0_columns(grade, weight):
 
 
 def _check_degree_weight(i, k):
-    if type(i) is not int or i not in (0, 1, 2):
-        raise ValueError("degree must be 0, 1 or 2")
+    _check_grade("degree", i)
     _check_int("weight", k)
     if k < 1:
         raise ValueError("weight must be >= 1")

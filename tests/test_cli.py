@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import grt2
+from grt2 import cli
 from grt2.cli import main
 from grt2.graphs.core import graph_from_text, graph_to_text
 
@@ -130,7 +131,6 @@ def test_graphs_output_pinned(capsys):
 def test_oracle_disagreement_prints_witness(capsys, monkeypatch):
     # a psi oracle that returns a vector outside the true span, which
     # also fails the symmetry criterion
-    from grt2 import cli
     from grt2.theta import RelationVector
 
     monkeypatch.setitem(cli.ORACLES, "psi",
@@ -147,8 +147,6 @@ def test_oracle_disagreement_prints_witness(capsys, monkeypatch):
 
 
 def test_missing_relation_prints_witness(capsys, monkeypatch):
-    from grt2 import cli
-
     monkeypatch.setitem(cli.ORACLES, "ihara", lambda k: [])
     code, out = run_cli(capsys, "relations", "--max-weight", "12")
     assert code == 1
@@ -619,3 +617,84 @@ def test_export_graph_defaults_to_graphtext(tmp_path, capsys):
                       "--graph", "wheel:3", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().startswith("V 4 E 6\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["spectral"],
+    ["dims", "--degree", "1", "--bogus", "5"],
+    ["dims", "--degree", "1", "--max", "5"],
+    ["dims", "--degree", "1", "--max-weight"],
+    ["dims", "--max-weight", "--degree", "1"],
+    ["dims", "--degree", "1", "--max-weight", "x"],
+    ["dims", "--degree", "3"],
+    ["graphs", "--check", "nope"],
+    ["relations", "--oracle", "x"],
+    ["dims", "--max-weight", "5"],
+    ["graphs", "--size-cap", "9"],
+    ["export", "--out", "out.json", "--weight", "12"],
+    ["export", "--what", "relations", "--weight", "12"],
+    ["dims", "--degree", "1", "--max-weight", "3", "--max-weight", "4"],
+    ["relations", "--weight", "8", "--max-weight", "10"],
+], ids=["no-command", "unknown-command", "unknown-option", "abbreviation",
+        "missing-value-at-end", "missing-value-before-option", "not-an-int",
+        "bad-choice-degree", "bad-choice-check", "bad-choice-oracle",
+        "dims-without-degree", "graphs-without-check", "export-without-what",
+        "export-without-out", "repeated-option", "weight-and-max-weight"])
+def test_usage_error_prints_one_line(tmp_path, capsys, monkeypatch, argv):
+    # Every rejected command line returns 2, prints nothing to stdout
+    # and one "error: " line to stderr, and writes no file.
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_commands_load_no_argument_parser(tmp_path):
+    # The command line is parsed from cli.COMMANDS, so no command loads
+    # argparse, nor the gettext and locale modules it translates its
+    # messages with, the shutil it asks for the terminal width, or re.
+    # -S keeps site hooks from importing them instead.
+    commands = [
+        ["dims", "--degree", "1", "--max-weight", "14"],
+        ["relations", "--max-weight", "12"],
+        ["graphs", "--check", "d-squared", "--size-cap", "5"],
+        ["export", "--what", "dims", "--max-weight", "4", "--format", "csv",
+         "--out", str(tmp_path / "dims.csv")],
+    ]
+    import_root = str(Path(grt2.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); from grt2.cli import main; "
+            "codes = [main(argv) for argv in %r]; "
+            "print(codes, sorted({'argparse', 'gettext', 'locale', 'shutil', "
+            "'re'} & set(sys.modules)))"
+            % (import_root, commands))
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+COMMAND_NAMES = ["dims", "relations", "graphs", "export"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]]
+                         + [[name, "--help"] for name in COMMAND_NAMES])
+def test_help_lists_every_option(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    names = COMMAND_NAMES if len(argv) == 1 else argv[:1]
+    for name in names:
+        assert "grt2 %s: " % name in captured.out
+        for option in cli.COMMANDS[name][2]:
+            assert "\n  %s " % option in captured.out
+
+
+def test_version(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == grt2.__version__ + "\n"
