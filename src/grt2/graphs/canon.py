@@ -16,19 +16,19 @@ slot, the champion is truncated there and deeper rows are filled in by
 the first branch that reaches them, which keeps every comparison exact
 during the search.
 
-Graphs are immutable and hashable, so each search result is memoized
-per graph in a bounded table.  A search that finds a nonzero class also
-records the result for its canonical representative, the
-:class:`GraphClass` that later operations on the class pass in.
+A search result is kept on the graph it describes and dies with it;
+there is no table of past searches.  :func:`canonicalize` gives the
+:class:`GraphClass` it returns the result of that representative, read
+off the search it ran, so the classes that later operations pass in are
+never searched.  :func:`automorphisms` stores its result on its
+argument.  A raw graph that is only canonicalized is searched on every
+call.
 """
 
 from __future__ import annotations
 
 from .core import GraphClass, gc2_check, icg_check
 
-# Search results kept, oldest dropped first once the table is full.
-MEMO_SIZE = 1024
-_memo = {}
 _ZERO = (None, 0, None)
 
 
@@ -102,28 +102,14 @@ def _relabeled_edges(pairs, labeling):
 
 
 def _search(g):
-    """The canonical search on g, memoized.  Returns (canonical_edges,
-    sign, labelings): canonical_edges is a sorted tuple of vertex pairs
-    and labelings holds every minimizing labeling as the tuple taking
-    each slot to a vertex of g, in increasing order.  When the class is
-    zero the result is (None, 0, None).
+    """The canonical search on g, or the result stored on g.  Returns
+    (canonical_edges, sign, labelings): canonical_edges is a sorted
+    tuple of vertex pairs and labelings holds every minimizing labeling
+    as the tuple taking each slot to a vertex of g, in increasing order.
+    When the class is zero the result is (None, 0, None).
     """
-    result = _memo.get(g)
-    if result is None:
-        result = _label(g)
-        _remember(g, result)
-        edges, sign, labelings = result
-        if sign:
-            canon = GraphClass(g.n, g.ext, edges)
-            if canon not in _memo:
-                _remember(canon, _canonical_result(edges, labelings))
-    return result
-
-
-def _remember(g, result):
-    if len(_memo) >= MEMO_SIZE:
-        del _memo[next(iter(_memo))]
-    _memo[g] = result
+    result = g._search
+    return _label(g) if result is None else result
 
 
 def _canonical_result(edges, labelings):
@@ -140,7 +126,7 @@ def _canonical_result(edges, labelings):
 
 
 def _label(g):
-    """The uncached search behind :func:`_search`."""
+    """The search behind :func:`_search`, run afresh."""
     n, ext, pairs = g.n, g.ext, g.edges
     if len(set(pairs)) < len(pairs):
         # swapping two parallel edges is an odd automorphism
@@ -228,6 +214,10 @@ def _label(g):
         descend(0)
     except _OddAutomorphism:
         return _ZERO
+    finally:
+        # descend refers to itself; deleting it frees the search state
+        # by reference counting, without waiting for the cycle collector
+        del descend
 
     mapped = _relabeled_edges(pairs, labelings[0])
     order = sorted(range(len(mapped)), key=mapped.__getitem__)
@@ -249,10 +239,11 @@ def canonicalize(g, check=True):
             icg_check(g)
         else:
             gc2_check(g)
-    edges, sign, _ = _search(g)
+    edges, sign, labelings = _search(g)
     if sign == 0:
         return None, 0
-    return GraphClass(g.n, g.ext, edges), sign
+    return (GraphClass(g.n, g.ext, edges,
+                       _canonical_result(edges, labelings)), sign)
 
 
 def automorphisms(g):
@@ -262,8 +253,11 @@ def automorphisms(g):
 
     Minimizing labelings l_0, l_i of the search give the automorphism
     l_0 o l_i^-1, and each automorphism comes from exactly one l_i.
+    The search result is stored on g.
     """
-    _, sign, labelings = _search(g)
+    result = _search(g)
+    object.__setattr__(g, "_search", result)
+    _, sign, labelings = result
     if sign == 0:
         return None
     first = labelings[0]

@@ -13,9 +13,13 @@ class Graph:
     Edges are stored as (min, max) pairs; their position in the tuple is
     the edge order.  Graphs are immutable, and equal and hashed by
     ``(n, ext, edges)`` within one exact type.
+
+    ``_search`` holds the result of the labeling search on this graph
+    once :mod:`grt2.graphs.canon` has stored it, else None; it dies with
+    the graph and takes no part in equality, hashing or the repr.
     """
 
-    __slots__ = ("n", "ext", "edges")
+    __slots__ = ("n", "ext", "edges", "_search")
 
     def __init__(self, n, ext, edges):
         if len(ext) != n:
@@ -30,6 +34,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ext", tuple(ext))
         object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "_search", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s instances are immutable"
@@ -168,15 +173,18 @@ class GraphClass(Graph):
     and edge reordering, built by ``canonicalize`` from normalized edges,
     so the constructor checks nothing.  Graph operations take it as it
     is; it never equals a raw Graph with the same edges, so its type
-    marks it as canonical.
+    marks it as canonical.  ``search`` is the result of the labeling
+    search on the class, which ``canonicalize`` reads off the search it
+    ran, so a class is never searched itself.
     """
 
     __slots__ = ()
 
-    def __init__(self, n, ext, edges):
+    def __init__(self, n, ext, edges, search=None):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ext", ext)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_search", search)
 
     def sort_key(self):
         return (self.n, self.ext, self.edges)

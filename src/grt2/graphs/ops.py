@@ -329,8 +329,18 @@ def level_part(g1, g2, p):
     below their caps, and to those after u, within them.  The full
     product of assignments is never walked.  Valences are invariant
     under automorphisms, so the pairs are a union of orbits.
+
+    p must be an int >= 1: no vertex of a simple graph has valence n,
+    so there is no level 0.
     """
+    _check_level(p)
     return _insertion_sum(g1, g2, _level_pairs(g1, g2, p))
+
+
+def _check_level(p):
+    if type(p) is not int or p < 1:
+        raise ValueError("filtration level p must be an int >= 1, got %r"
+                         % (p,))
 
 
 def _bracket(s1, s2, product_raw):
@@ -355,6 +365,7 @@ def level_bracket(s1, s2, p):
     """The filtration-value-p part of ``gc2_bracket(s1, s2)``, built
     from :func:`level_part` alone.
     """
+    _check_level(p)
     return _bracket(s1, s2, lambda g1, g2: level_part(g1, g2, p))
 
 
@@ -507,6 +518,9 @@ def theta_graph_encode(g):
     if cls is None:
         return ThetaElement(grade, Poly3.zero())
     ref = theta_graph(grade, counts)
+    if ref == g:
+        # the reference layout itself: sign and ref_sign are one sign
+        return ThetaElement(grade, mono)
     ref_cls, ref_sign = canonicalize(ref, check=False)
     if ref_cls != cls:
         raise AssertionError("reference theta does not match input class")

@@ -311,6 +311,7 @@ def theta_monomials(k):
 
 
 def _check_relation_weight(k):
+    _check_int("weight", k)
     if k % 2 != 0 or k < 8:
         raise ValueError("relation weight must be even and >= 8")
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -209,6 +210,30 @@ def test_graphs_checks(capsys):
     code, _ = run_cli(capsys, "graphs", "--check", "filtration",
                       "--size-cap", "13")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["graphs", "--check", "d-squared", "--size-cap", "7"],
+    ["graphs", "--check", "encoding", "--size-cap", "7"],
+    ["graphs", "--check", "filtration", "--size-cap", "9"],
+    ["graphs", "--check", "bowtie"],
+    ["graphs", "--check", "theta-identity"],
+    ["dims", "--degree", "1", "--max-weight", "20"],
+    ["relations", "--max-weight", "16", "--oracle", "all"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_commands_leave_no_cyclic_garbage(capsys, argv):
+    # what a command builds is freed by reference counting alone: the
+    # labeling search keeps no reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0, capsys.readouterr().err
+    assert garbage == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("check", ["d-squared", "encoding"])

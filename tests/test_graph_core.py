@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grt2.cli import check_d_squared
 from grt2.graphs import (
     Graph,
     GraphSum,
@@ -15,7 +17,7 @@ from grt2.graphs import (
 from grt2.graphs import canon
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.core import gc2_check, gc2_degree, icg_check
-from helpers import check_canonicalize_invariance
+from helpers import check_canonicalize_invariance, failed_cases
 
 
 def test_graph_validation():
@@ -198,8 +200,9 @@ def test_canonicalize_past_64_vertices():
 
 
 def test_search_memo_seeds_canonical_representative():
-    # the result a search records for its canonical representative is
-    # what the representative's own search returns, labelings included
+    # the search result canonicalize stores on the class it returns is
+    # what the class's own search returns, labelings included; the raw
+    # graph it was given keeps nothing
     rng = random.Random(11)
     graphs = [wheel(3), wheel(5), wheel(7), figure_eight(2, 4),
               figure_eight(3, 3)]
@@ -213,24 +216,33 @@ def test_search_memo_seeds_canonical_representative():
         graphs.append(Graph(g.n, g.ext, tuple(edges)))
     seeded = 0
     for g in graphs:
-        canon._memo.clear()
         cls, _ = canonicalize(g, check=False)
+        assert g._search is None, g
         if cls is None:
             continue
         seeded += 1
-        assert canon._memo[cls] == canon._label(cls), g
+        assert cls._search == canon._label(cls), g
     assert seeded > 20
 
 
-def test_search_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(canon, "MEMO_SIZE", 5)
-    canon._memo.clear()
-    graphs = [theta_graph(1, counts) for counts in theta_shapes(1, 8)]
-    first = [canonicalize(g) for g in graphs]
-    assert len(canon._memo) == 5
-    # evicted graphs are searched again, to the same result
-    assert [canonicalize(g) for g in graphs] == first
-    assert len(canon._memo) == 5
+def test_search_result_is_no_part_of_a_graph_value():
+    g = theta_graph(1, (3, 2, 1))
+    fresh = theta_graph(1, (3, 2, 1))
+    text = repr(g)
+    canon.automorphisms(g)
+    assert g._search is not None and fresh._search is None
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == text
+
+
+def test_graph_checks_leave_no_graph_behind():
+    # a search result lives on its graph, so nothing outlives the check
+    def graphs():
+        gc.collect()
+        return sum(isinstance(o, Graph) for o in gc.get_objects())
+
+    before = graphs()
+    assert not failed_cases(check_d_squared(5))
+    assert graphs() == before
 
 
 def test_graphsum_arithmetic():

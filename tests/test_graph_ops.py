@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grt2 import cli
 from grt2.cli import (
     check_bowtie,
     check_d_squared,
@@ -317,9 +318,23 @@ def test_level_part_matches_restricted_product(a, b):
     for g1, g2 in ((wheel(a), wheel(b)), (wheel(b), wheel(a))):
         full = pre_lie_raw(g1, g2)
         top = max(filtration_value(c) for c in full.terms)
-        for p in range(top + 2):
+        # level 0 is empty, and level_part rejects it
+        assert min(filtration_value(c) for c in full.terms) >= 1
+        for p in range(1, top + 2):
             want = full.restrict(lambda c: filtration_value(c) == p)
             assert level_part(g1, g2, p) == want, (a, b, p)
+
+
+@pytest.mark.parametrize("p", [0, -1, True, 2.0, None])
+def test_level_part_rejects_what_is_no_level(p):
+    message = r"filtration level p must be an int >= 1, got %r" % (p,)
+    with pytest.raises(ValueError, match=message):
+        level_part(wheel(3), wheel(5), p)
+    w3, w5 = wheel_class(3), wheel_class(5)
+    with pytest.raises(ValueError, match=message):
+        level_bracket(w3, w5, p)
+    with pytest.raises(ValueError, match=message):
+        level_bracket(GraphSum(), w5, p)
 
 
 def test_level_pairs_list_each_qualifying_pair_once():
@@ -454,12 +469,32 @@ def test_theta_identity_searches_only_two_loop_markings(monkeypatch):
         searched.append(g)
         return label(g)
 
-    canon._memo.clear()
     monkeypatch.setattr(canon, "_label", counting_label)
     assert not failed_cases(check_theta_identity(None))
     marked = [g for g in searched if any(g.ext)]
     assert len(marked) < len(searched)
     assert [g for g in marked if internal_loop_count(g) != 2] == []
+
+
+def test_encoding_searches_each_case_graph_once(monkeypatch):
+    # the encoding reads the search that the differential stored on the
+    # case graph, and takes the graph itself as its reference layout
+    searched = []
+    label = canon._label
+
+    def counting_label(g):
+        searched.append(g)
+        return label(g)
+
+    monkeypatch.setattr(canon, "_label", counting_label)
+    cases = cli._theta_cases(7)
+    assert len(cases) > 10
+    for case in cases:
+        monkeypatch.setattr(cli, "_theta_cases", lambda cap: [case])
+        searched.clear()
+        assert not failed_cases(check_encoding(7))
+        g = theta_graph(*case)
+        assert sum(s == g for s in searched) == 1, case
 
 
 def mark_one_external_reference(g):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from grt2.liealg import bracket_kernel
 from grt2.perms import IDENTITY, S3, SWAP_12
 from grt2.poly import Poly2, Poly3
 from grt2.theta import (
@@ -269,6 +270,14 @@ def test_relation_space_small_weights():
     assert relation_space(10) == []
     vecs = relation_space(12)
     assert len(vecs) == 1 and vecs[0].coeffs == (1, -3)
+    # every oracle checks that its weight is an int before using it
+    for oracle in (relation_space, relation_space_psi, bracket_kernel):
+        for k in (12.0, True):
+            with pytest.raises(ValueError,
+                               match="weight must be an int, got %r" % k):
+                oracle(k)
+        with pytest.raises(ValueError, match="even and >= 8"):
+            oracle(11)
 
 
 def test_relation_space_counts():
