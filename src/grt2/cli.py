@@ -202,9 +202,10 @@ def check_d_squared(weight_cap):
 
 def check_encoding(weight_cap):
     from .graphs.build import theta_graph
-    from .graphs.ops import (icg_differential_raw, theta_graph_encode,
-                             theta_graph_sum)
-    from .theta import d0_theta
+    from .graphs.canon import canonical_sum
+    from .graphs.core import GraphSum
+    from .graphs.ops import icg_differential_raw, theta_graph_encode
+    from .theta import _d0_columns, weight_slice_basis
 
     results = []
     for grade, counts in _theta_cases(weight_cap):
@@ -212,10 +213,24 @@ def check_encoding(weight_cap):
         # differentiating first stores the search on g, which the
         # encoding then reads instead of searching g again
         diff = icg_differential_raw(g)
-        image = theta_graph_sum(d0_theta(theta_graph_encode(g)))
+        code = theta_graph_encode(g)
+        weight = sum(counts) + 2 - grade
+        if code is None:
+            # a zero class: its slice must lack the monomial too
+            ok = (diff.is_zero()
+                  and counts not in weight_slice_basis(grade, weight))
+        else:
+            # a reference graph whose class is zero fails the case
+            _, _, index, sign = code
+            targets = weight_slice_basis(grade + 1, weight)
+            column = _d0_columns(grade, weight)[index]
+            terms = {}
+            zeros = canonical_sum(
+                ((theta_graph(grade + 1, targets[i]), sign * c)
+                 for i, c in column.items()), terms)
+            ok = not zeros and diff == GraphSum(terms)
         results.append(
-            ("encode d0 = d0 encode, grade %d %s" % (grade, counts),
-             diff == image))
+            ("encode d0 = d0 encode, grade %d %s" % (grade, counts), ok))
     return results
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..poly import _SparsePoly
+from ..theta import _check_int
 
 
 class Graph:
@@ -22,10 +23,13 @@ class Graph:
     __slots__ = ("n", "ext", "edges", "_search")
 
     def __init__(self, n, ext, edges):
+        _check_int("n", n)
         if len(ext) != n:
             raise ValueError("ext flags must cover every vertex")
         norm = []
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError("edge endpoints must be ints: %r" % ((u, v),))
             if u == v:
                 raise ValueError("simple loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -76,9 +80,6 @@ class Graph:
             out[u].append(i)
             out[v].append(i)
         return out
-
-    def external_vertices(self):
-        return [v for v in range(self.n) if self.ext[v]]
 
     def internal_vertices(self):
         return [v for v in range(self.n) if not self.ext[v]]

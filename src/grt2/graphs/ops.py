@@ -1,13 +1,13 @@
 """Operations on graphs: differentials, insertion, filtrations, the
-external-marking map and the bridge to the polynomial model.
+external-marking map and the encoding of theta graphs in the d0 matrix.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from ..poly import Poly3
-from ..theta import ThetaElement
+from ..perms import monomial_normal_form
+from ..theta import weight_slice_basis
 from .build import theta_graph, wheel
 from .canon import automorphisms, canonical_sum, canonicalize
 from .core import Graph, GraphSum, components, gc2_degree, icg_check
@@ -457,10 +457,8 @@ def _theta_shape(g):
     grade-1 hair does not matter: reversing the strands is an
     isomorphism onto the reference layout either way.
     """
-    exts = g.external_vertices()
-    if len(exts) != 1:
+    if sum(g.ext) != 1:
         raise ValueError("theta shapes have exactly one external vertex")
-    ext = exts[0]
     internal = set(g.internal_vertices())
     int_adj = {v: [] for v in internal}
     hairs = {v: 0 for v in internal}
@@ -485,9 +483,6 @@ def _theta_shape(g):
     counts = []
     seen = {a, b}
     for start in int_adj[a]:
-        if start == b:
-            counts.append(0)
-            continue
         length = 0
         prev, cur = a, start
         while cur != b:
@@ -506,36 +501,23 @@ def _theta_shape(g):
 
 
 def theta_graph_encode(g):
-    """Read a theta-shaped graph as a coinvariant class.
-
-    The hair counts give the monomial; the sign comes from comparing the
-    graph with the reference layout through canonicalization.  A graph
-    whose class vanishes encodes to zero.
+    """(grade, weight, index, sign) of a theta-shaped graph: ``index``
+    places the strictly decreasing rearrangement of its hair counts in
+    :func:`weight_slice_basis`; None when the class of g is zero.  The
+    sign compares g with the reference layout of its own strand order,
+    times the sign action's parity of sorting the strands.
     """
     grade, counts = _theta_shape(g)
     cls, sign = canonicalize(g, check=True)
-    mono = Poly3.monomial(counts)
     if cls is None:
-        return ThetaElement(grade, Poly3.zero())
+        return None
     ref = theta_graph(grade, counts)
-    if ref == g:
-        # the reference layout itself: sign and ref_sign are one sign
-        return ThetaElement(grade, mono)
-    ref_cls, ref_sign = canonicalize(ref, check=False)
+    # g itself when it is its reference layout: a search stored on g is reused
+    ref_cls, ref_sign = canonicalize(g if ref == g else ref, check=False)
     if ref_cls != cls:
         raise AssertionError("reference theta does not match input class")
-    return ThetaElement(grade, (sign * ref_sign) * mono)
-
-
-def theta_graph_sum(elem):
-    """The canonical sum of the reference theta graphs of an element's
-    monomials, with its coefficients: the graph-side image of a class,
-    which :func:`theta_graph_encode` reads back.  None when the class of
-    a reference graph is zero, which no sum could stand for.
-    """
-    terms = {}
-    pairs = ((theta_graph(elem.grade, m), c)
-             for m, c in elem.value.terms.items())
-    if canonical_sum(pairs, terms):
-        return None
-    return GraphSum(terms)
+    # a repeated count is an odd strand swap, so cls would be None
+    rep, parity = monomial_normal_form(counts)
+    weight = sum(counts) + 2 - grade
+    index = weight_slice_basis(grade, weight).index(rep)
+    return grade, weight, index, sign * ref_sign * parity

@@ -42,11 +42,13 @@ from math import comb
 
 from .linalg import kernel_mod_image
 from .poly import NCPoly, Poly3, nc_bracket
-from .theta import RelationVector, generator_count, _check_relation_weight
+from .theta import (RelationVector, _check_int, _check_relation_weight,
+                    generator_count)
 
 
 def ad_power(n):
     """The expansion of ad_x^n(y) with the convention ad_x(y) = xy - yx."""
+    _check_int("adjoint power", n)
     if n < 0:
         raise ValueError("adjoint power must be non-negative")
     terms = {}
@@ -108,6 +110,8 @@ def encoded_bracket_xy(i, k):
     X = alpha-beta and Y = beta-gamma their sum is
     depth2_encode(ihara_bracket(ad_power(A), ad_power(B))).
     """
+    _check_int("i", i)
+    _check_int("weight k", k)
     if k % 2 or k < 8:
         raise ValueError("no bracket generator at weight k=%d (i=%d): the "
                          "weight must be even and >= 8" % (k, i))

@@ -72,11 +72,7 @@ def monomial_normal_form(key):
     if a == b or a == c or b == c:
         return None
     order = sorted(range(3), key=lambda i: -key[i])
-    sign = 1
-    # parity of the 3-element sorting permutation
-    if (order[0], order[1], order[2]) in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-        sign = -1
-    return tuple(key[i] for i in order), sign
+    return tuple(key[i] for i in order), Perm3(order).sign
 
 
 def sign_coinvariant_normal_form(p):

@@ -27,6 +27,15 @@ def test_graph_validation():
         Graph(2, (False,), ((0, 1),))  # flag length
     with pytest.raises(ValueError, match="endpoint out of range"):
         Graph(2, (False, False), ((0, 2),))
+    # a bool or float vertex count or endpoint is no int
+    for n, edges, problem in [
+        (True, (), "n must be an int, got True"),
+        (3.0, ((0, 1),), "n must be an int, got 3.0"),
+        (3, ((0, 1.0),), r"edge endpoints must be ints: \(0, 1.0\)"),
+        (3, ((True, 2),), r"edge endpoints must be ints: \(True, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            Graph(n, (True, False, False), edges)
     g = Graph(2, (True, False), ((1, 0),))
     assert g.edges == ((0, 1),)  # endpoints are stored sorted
 

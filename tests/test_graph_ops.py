@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grt2 import cli
+from grt2 import cli, perms, theta
 from grt2.cli import (
     check_bowtie,
     check_d_squared,
@@ -14,7 +14,7 @@ from grt2.cli import (
     check_filtration,
     check_theta_identity,
 )
-from grt2.graphs import canon, ops
+from grt2.graphs import build, canon, ops
 from grt2.graphs.build import figure_eight, theta_graph, theta_shapes, wheel
 from grt2.graphs.canon import automorphisms, canonical_sum, canonicalize
 from grt2.graphs.core import Graph, GraphSum, gc2_degree, icg_check
@@ -33,13 +33,12 @@ from grt2.graphs.ops import (
     pre_lie_raw,
     split_terms,
     theta_graph_encode,
-    theta_graph_sum,
     two_loop_marking,
     wheel_class,
 )
 from grt2.poly import Poly3
 from grt2.perms import sign_coinvariant_normal_form
-from grt2.theta import ThetaElement
+from grt2.theta import weight_slice_basis
 from helpers import failed_cases, in_span
 
 
@@ -196,26 +195,27 @@ def test_vanishing_classes_match_lemma():
 
 
 def test_encode_decode_round_trip():
+    # a reference layout with decreasing counts is its own basis vector
     for a in range(1, 10):
         for b in range(a):
             for c in range(b):
                 if a + b + c > 10 or (b == 0 and c == 0):
                     continue
                 mono = (a, b, c)
-                elem = theta_graph_encode(theta_graph(1, mono))
-                assert elem.grade == 1
-                assert elem.value == Poly3.monomial(mono)
+                weight = a + b + c + 1
+                index = weight_slice_basis(1, weight).index(mono)
+                assert theta_graph_encode(theta_graph(1, mono)) == \
+                    (1, weight, index, 1)
 
 
 def test_encode_reference_figure():
     # the reference layout of the grade-0 shape with hair counts 2, 3, 4
-    elem = theta_graph_encode(theta_graph(0, (2, 3, 4)))
-    assert elem.grade == 0
-    assert elem.value == sign_coinvariant_normal_form(
-        Poly3.monomial((2, 3, 4)))
-    elem = theta_graph_encode(theta_graph(1, (2, 4, 0)))
-    assert elem.value == sign_coinvariant_normal_form(
-        Poly3.monomial((2, 4, 0)))
+    # is -(4, 3, 2), the last basis vector of weight 11: reversing the
+    # strands is a transposition
+    assert weight_slice_basis(0, 11)[6] == (4, 3, 2)
+    assert theta_graph_encode(theta_graph(0, (2, 3, 4))) == (0, 11, 6, -1)
+    assert weight_slice_basis(1, 7)[1] == (4, 2, 0)
+    assert theta_graph_encode(theta_graph(1, (2, 4, 0))) == (1, 7, 1, -1)
 
 
 def test_encode_rejects_other_shapes():
@@ -244,25 +244,50 @@ def test_encode_rejects_other_shapes():
             theta_graph_encode(g)
 
 
-def test_theta_graph_sum_inverts_encoding():
-    # the graph-side image of a shape's encoding is the shape's class;
+def test_encoding_names_the_class_of_every_strand_order():
+    # g is sign times the reference graph of the basis vector it names;
     # the strands in every order give both signs
+    signs = set()
     for grade in (0, 1, 2):
         for shape in theta_shapes(grade, 9):
             for counts in set(permutations(shape)):
                 g = theta_graph(grade, counts)
                 cls, sign = canonicalize(g)
-                want = GraphSum() if cls is None else GraphSum({cls: sign})
-                assert theta_graph_sum(theta_graph_encode(g)) == want, \
-                    (grade, counts)
+                code = theta_graph_encode(g)
+                if cls is None:
+                    assert code is None, (grade, counts)
+                    continue
+                _, weight, index, s = code
+                mono = weight_slice_basis(grade, weight)[index]
+                ref_cls, ref_sign = canonicalize(theta_graph(grade, mono))
+                assert (cls, sign) == (ref_cls, s * ref_sign), (grade, counts)
+                signs.add(s)
+    assert signs == {1, -1}
 
 
-def test_theta_graph_sum_refuses_a_zero_reference(monkeypatch):
-    # a reference graph whose class is zero has no sum to stand for it
+def test_encoding_fails_when_a_reference_class_is_zero(monkeypatch):
+    # the grade-2 references stand in for a graph whose class is zero;
+    # the one grade-1 case at cap 5 with a nonzero d0 column fails
     doubled = Graph(3, (True, False, False), ((0, 1), (1, 2), (1, 2)))
-    monkeypatch.setattr(ops, "theta_graph", lambda grade, counts: doubled)
-    elem = ThetaElement(1, Poly3.monomial((2, 1, 0)))
-    assert theta_graph_sum(elem) is None
+    real = build.theta_graph
+    monkeypatch.setattr(build, "theta_graph", lambda grade, counts:
+                        doubled if grade == 2 else real(grade, counts))
+    assert failed_cases(check_encoding(5)) == \
+        ["encode d0 = d0 encode, grade 1 (2, 1, 0)"]
+
+
+def test_encoding_never_reaches_the_polynomial_differential(monkeypatch):
+    # every case passes with the polynomial-model differential and its
+    # normal form replaced by stand-ins that raise: the check reads only
+    # the d0 matrix
+    def refuse(*args):
+        raise AssertionError("the polynomial model was reached")
+
+    for module, name in ((theta, "d0_theta"), (theta, "ThetaElement"),
+                         (theta, "sign_coinvariant_normal_form"),
+                         (perms, "sign_coinvariant_normal_form")):
+        monkeypatch.setattr(module, name, refuse)
+    assert not failed_cases(check_encoding(9))
 
 
 def test_gc2_bracket_antisymmetry():
@@ -410,7 +435,7 @@ def assert_automorphism_group(g, group):
     assert len(set(group)) == len(group)
     for sigma in group:
         assert sorted(sigma) == list(range(g.n))
-        assert all(sigma[v] == v for v in g.external_vertices())
+        assert all(sigma[v] == v for v in range(g.n) if g.ext[v])
         assert sorted(tuple(sorted((sigma[u], sigma[v])))
                       for u, v in g.edges) == edges
     members = set(group)

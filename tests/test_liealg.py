@@ -36,6 +36,10 @@ def test_ad_power_small():
     assert ad_power(2) == NCPoly({"xxy": 1, "xyx": -2, "yxx": 1})
     with pytest.raises(ValueError, match="must be non-negative"):
         ad_power(-1)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError,
+                           match="adjoint power must be an int, got %r" % n):
+            ad_power(n)
 
 
 def test_ad_power_is_iterated_bracket():
@@ -246,6 +250,10 @@ def test_bracket_kernel_matches_kernel_over_all_monomials():
     (0, 12, "i=0 is outside 1..2 at weight k=12"),
     (3, 12, "i=3 is outside 1..2 at weight k=12"),
     (-1, 12, "i=-1 is outside 1..2 at weight k=12"),
+    (True, 12, "i must be an int, got True"),
+    (1.0, 12, "i must be an int, got 1.0"),
+    (1, 12.0, "weight k must be an int, got 12.0"),
+    (1, True, "weight k must be an int, got True"),
 ])
 def test_encoded_bracket_generator_rejects_bad_index(i, k, message):
     with pytest.raises(ValueError, match=message):
