@@ -34,6 +34,13 @@ and S3 maps that subring to itself by these substitutions; each
 condition is therefore an identity between binary forms of degree k-2,
 k-1 coefficients each, and holds there exactly when it holds for the
 expanded G (:func:`symmetry_polynomial`) under the plain action.
+
+Let G_i = X^(2i) Y^(k-2-2i) - X^(k-2-2i) Y^(2i), the antisymmetric
+extension of the i-th unit vector.  G + (13).G = 0 holds for every
+antisymmetric G, and G_i + (123).G_i + (132).G_i is the i-th encoded
+bracket, term for term.  The bracket kernel is therefore the solution
+space of both symmetry conditions (Schneps's characterization), and
+:func:`schneps_check` tests one vector against the same columns.
 """
 
 from __future__ import annotations
@@ -192,32 +199,13 @@ def symmetry_polynomial(k, full_coeffs):
 def schneps_check(rv):
     """Whether a relation vector satisfies both symmetry conditions of
     the depth-2 classification, G + (13).G = 0 and
-    G + (123).G + (132).G = 0, checked on the coefficients g_j of
-    X^j Y^(d-j) in the difference variables (see the module docstring),
-    d = k-2.  Only even j carry a coefficient, so no sign survives the
-    substitutions: (13).G has g_(d-j) at j, and the 3-cycles give
-    G(Y, -X-Y) = sum_j g_j Y^j (X+Y)^(d-j) and
-    G(-X-Y, X) = sum_j g_j (X+Y)^j X^(d-j).
-
-    The antisymmetric extension sets g_(d-j) = -g_j, so
-    G + (13).G = 0 holds by construction for every input; the first
-    test guards that construction, and the 3-cycle condition carries
-    the check.
+    G + (123).G + (132).G = 0, for G the antisymmetric extension of its
+    coefficients.  The first holds by construction, and the 3-cycle sum
+    of G_i is the i-th encoded bracket (see the module docstring), so
+    the test is that sum_i a_i encoded_bracket_xy(i, k) vanishes.
     """
-    d = rv.weight - 2
-    full = extend_coefficients(rv.weight, rv.coeffs)
-    g = {2 * i: a for i, a in enumerate(full, start=1) if a}
-    if any(a + g.get(d - j, 0) for j, a in g.items()):
-        return False
-    h = [0] * (d + 1)  # coefficients of G + (123).G + (132).G
-    for j, a in g.items():
-        h[j] += a
-        c = a
-        for t in range(d - j + 1):  # a C(d-j, t) X^t Y^(d-t)
-            h[t] += c
-            c = c * (d - j - t) // (t + 1)
-        c = a
-        for t in range(j + 1):  # a C(j, t) X^(d-j+t) Y^(j-t)
-            h[d - j + t] += c
-            c = c * (j - t) // (t + 1)
-    return not any(h)
+    h = {}
+    for i, a in enumerate(rv.coeffs, start=1):
+        for j, c in encoded_bracket_xy(i, rv.weight).items():
+            h[j] = h.get(j, 0) + a * c
+    return not any(h.values())

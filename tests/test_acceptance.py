@@ -133,8 +133,9 @@ def test_criterion_4_symmetry_criterion():
                 continue
             found += 1
             ok = ok and not schneps_check(RelationVector(k, vec))
-    report(4, "every emitted relation passes the symmetry criterion and "
-              "random non-kernel vectors fail it", ok, failed)
+    report(4, "the solutions of the symmetry criterion (the Ihara kernel) "
+              "span the relation space and random non-kernel vectors fail "
+              "it", ok, failed)
 
 
 def test_criterion_5_graph_polynomial_bridge():
@@ -153,7 +154,7 @@ def test_criterion_5_graph_polynomial_bridge():
                 sign_coinvariant_normal_form(
                     Poly3.monomial(counts)).is_zero()
             ok = ok and (cls is None) == lemma_zero
-    report(5, "graph splitting matches the polynomial differential on "
+    report(5, "graph splitting matches the d0 matrix that dims ranks on "
               "every theta shape of weight <= 9, with d0^2 = 0", ok, failed)
 
 

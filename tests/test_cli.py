@@ -130,8 +130,8 @@ def test_graphs_output_pinned(capsys):
 
 
 def test_oracle_disagreement_prints_witness(capsys, monkeypatch):
-    # a psi oracle that returns a vector outside the true span, which
-    # also fails the symmetry criterion
+    # a psi oracle that returns a vector outside the true span; the span
+    # rule names it once, and no vector is checked on its own
     from grt2.theta import RelationVector
 
     monkeypatch.setitem(cli.ORACLES, "psi",
@@ -142,9 +142,23 @@ def test_oracle_disagreement_prints_witness(capsys, monkeypatch):
     assert fails == [
         "weight 12  FAIL: oracles rank and psi disagree: (1, 0) lies in "
         "the psi span, not in the rank span",
-        "weight 12  FAIL: symmetry criterion fails for psi vector (1, 0)",
     ]
     assert "oracles agree" not in out
+
+
+def test_cross_check_never_runs_the_per_vector_criterion(monkeypatch):
+    # `relations --oracle all` compares spaces; the per-vector test
+    # schneps_check is a library function it does not call, under
+    # either name
+    from grt2 import liealg
+
+    def refuse(rv):
+        raise AssertionError("schneps_check called on %r" % (rv,))
+
+    monkeypatch.setattr(liealg, "schneps_check", refuse)
+    monkeypatch.setattr(cli, "schneps_check", refuse, raising=False)
+    for k in range(8, 61, 2):
+        assert cli.relations_report(k, "all")["failures"] == [], k
 
 
 def test_missing_relation_prints_witness(capsys, monkeypatch):
@@ -572,6 +586,10 @@ def test_export_leaves_a_stale_partial_file(tmp_path, capsys):
 BAD_GRAPH_SPECS = {
     "wheel:4": "odd number of spokes",
     "wheel:abc": "invalid literal",
+    "wheel:1_1": "invalid literal",
+    "wheel: 3": "invalid literal",
+    "theta:1:2,+3,4": "invalid literal",
+    "figure-eight:2,\u0664": "invalid literal",
     "theta:1:2,3": "three hair counts",
     "cube": "it must be wheel:",
     "figure-eight:2": "two loop lengths",
@@ -677,6 +695,35 @@ def test_usage_error_prints_one_line(tmp_path, capsys, monkeypatch, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relations", "--weight", "1_2"], "--weight takes an int, got '1_2'"),
+    (["relations", "--weight", " 12"], "--weight takes an int, got ' 12'"),
+    (["relations", "--weight", "12 "], "--weight takes an int, got '12 '"),
+    (["relations", "--weight", "+12"], "--weight takes an int, got '+12'"),
+    (["relations", "--weight", "\u0661\u0662"],
+     "--weight takes an int, got '\u0661\u0662'"),
+    (["relations", "--weight=-"], "--weight takes an int, got '-'"),
+    (["relations", "--weight", "--12"], "--weight needs a value"),
+    (["relations", "--weight", "-12"],
+     "relation weights are even and >= 8, got -12"),
+    (["dims", "--degree", "1", "--max-weight", "-5"],
+     "--max-weight must be >= 1, got -5"),
+    (["dims", "--degree", "1", "--max-weight=-5"],
+     "--max-weight must be >= 1, got -5"),
+], ids=["underscore", "leading-space", "trailing-space", "plus-sign",
+        "arabic-indic-digits", "bare-minus", "double-minus", "negative-weight",
+        "negative-max-weight", "negative-max-weight-joined"])
+def test_int_options_take_ascii_digits_only(capsys, argv, message):
+    # an int option reads an optional minus and ASCII digits, nothing
+    # else that int() would accept; a negative value reaches the range
+    # check of its command
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
 
 
 def test_commands_load_no_argument_parser(tmp_path):

@@ -196,7 +196,8 @@ def test_bracket_kernel_counts():
 
 def test_kernel_agreement_with_rank_oracle():
     # the cross-check of `relations --oracle all`: span agreement of the
-    # three oracles and the symmetry criterion on every vector
+    # psi and Ihara oracles with the rank oracle; the Ihara kernel is the
+    # solution space of the symmetry criterion
     for k in range(8, 30, 2):
         assert relations_report(k, "all")["failures"] == [], k
 
@@ -258,6 +259,21 @@ def test_bracket_kernel_matches_kernel_over_all_monomials():
 def test_encoded_bracket_generator_rejects_bad_index(i, k, message):
     with pytest.raises(ValueError, match=message):
         encoded_bracket_xy(i, k)
+
+
+def test_encoded_bracket_is_three_cycle_sum():
+    # Schneps's identity: with G_i the antisymmetric extension of the
+    # i-th unit vector, the encoded bracket is G_i + (123).G_i + (132).G_i
+    # under the S3 action on the expanded G_i, so the bracket kernel is
+    # the solution space of the symmetry criterion
+    for k in range(8, 41, 2):
+        for i in range(1, generator_count(k) + 1):
+            unit = [int(j == i) for j in range(1, generator_count(k) + 1)]
+            g = symmetry_polynomial(k, extend_coefficients(k, unit))
+            expect = g + plain_action(CYCLE_123, g) + plain_action(
+                CYCLE_132, g)
+            assert expand_xy(encoded_bracket_xy(i, k), k - 2) == expect, \
+                (i, k)
 
 
 def test_oracles_agree_weights_30_to_160():

@@ -260,6 +260,15 @@ def test_relation_vector_normalization():
         RelationVector(11, (1,))
 
 
+def test_relation_vector_equality_needs_weight_and_coefficients():
+    rv = RelationVector(12, (1, -3))
+    assert rv == RelationVector(12, (2, -6))
+    assert hash(rv) == hash(RelationVector(12, (2, -6)))
+    assert rv != RelationVector(12, (1, 0))  # same weight
+    assert rv != RelationVector(14, (1, -3))  # same coefficients
+    assert rv != (12, (1, -3))
+
+
 @pytest.mark.parametrize("bad", [0.1, "1/3", True])
 def test_relation_vector_rejects_inexact_coefficient(bad):
     with pytest.raises(ValueError, match="entry 0 .*" + repr(bad)):
