@@ -13,6 +13,7 @@ one table, ``COMMANDS``.  Output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import os
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -333,14 +334,27 @@ def cmd_graphs(args):
 
 def _regular_target(path):
     """The file an ``--out`` path names, the path itself unless it is a
-    link; an empty path, or one that exists and is not a regular file (a
-    FIFO, a device, a directory), is a usage error, so it is never
-    replaced.
+    link.  An empty path is a usage error, and so is one that exists and
+    is this process's standard output or error (``/dev/stdout``, or the
+    file a stream is redirected to) or no regular file (a FIFO, a
+    device, a directory), so none of them is ever replaced.
     """
     if not path:
         raise UsageError("--out is empty; it must name a file")
     target = os.path.realpath(path) if os.path.islink(path) else path
-    if os.path.lexists(target) and not os.path.isfile(target):
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return target       # nothing there yet, or a link to nothing
+    for fd, stream in ((1, "output"), (2, "error")):
+        try:
+            own = os.path.samestat(st, os.fstat(fd))
+        except OSError:
+            own = False     # the stream is closed
+        if own:
+            raise UsageError("--out %s is this command's standard %s"
+                             % (path, stream))
+    if not stat.S_ISREG(st.st_mode):
         raise UsageError("--out %s names no regular file" % path)
     return target
 

@@ -1,20 +1,22 @@
 """Canonical labeling of ordered-edge graphs and the automorphism group
 the labeling search finds on the way.
 
-The search looks, among all relabelings that fix external vertices
-pointwise and permute internal vertices within their refinement
-classes, for the ones minimizing the lower-triangular adjacency string.
-It keeps every minimizing relabeling: two of them differ by an
-automorphism, and every automorphism arises this way.  If two of them
-induce edge permutations of opposite parity the class is zero, and the
-search stops at the first such pair.
-
-Adjacency rows are packed into integers (on n vertices slot t occupies
-bit n - 1 - t, so integer order is lexicographic order on rows).  The
-champion is stored row by row; when a branch improves on it at some
-slot, the champion is truncated there and deeper rows are filled in by
-the first branch that reaches them, which keeps every comparison exact
-during the search.
+The search is individualization-refinement (McKay & Piperno,
+"Practical graph isomorphism, II", arXiv:1301.1493).  External vertices
+are singleton cells, so every labeling fixes them; internal vertices
+start in one cell.  At each node the ordered partition is refined until
+it is equitable, and each vertex of its first cell with more than one
+vertex is individualized in turn.  A leaf, a discrete
+partition, fills the internal slots in index order with the internal
+vertices in cell order; its certificate is the sorted list of edges
+under that labeling.  The tree of a relabeled graph is the relabeled
+tree, so the least certificate is the canonical form.  The search keeps
+the labeling of every leaf with the least certificate: two of them
+differ by an automorphism, and every automorphism arises this way.  If
+two of them induce edge permutations of opposite parity the class is
+zero, and the search stops at the first such pair.  No branch is pruned
+with the automorphisms found so far: on the graphs the checks search,
+pruning would save a few milliseconds per command.
 
 A search result is kept on the graph it describes and dies with it;
 there is no table of past searches.  :func:`canonicalize` gives the
@@ -38,34 +40,33 @@ class _OddAutomorphism(Exception):
     """
 
 
-def refine_colors(n, ext, neighbors):
-    """Iterated neighborhood refinement.  External vertices get unique
-    colors tied to their index, so every admissible relabeling fixes
-    them; internal vertices start from their valence.  Each round ranks
-    the signatures (own color, then the sorted neighbor colors) among
-    the round's distinct signatures; refinement stops when a round
-    splits no class.
+def refine_colors(cells, neighbors):
+    """The coarsest equitable refinement of an ordered partition, a list
+    of cells (lists of vertices).  Each round splits every cell by its
+    members' sorted neighbor-cell indices, the pieces taking the cell's
+    place in increasing order of that key, until no cell splits.
+    Relabeling the vertices of the input relabels those of the output:
+    which vertices share a cell, and the order of the cells, do not
+    depend on the labels.
     """
-    colors = [(0, v) if ext[v] else (1, len(neighbors[v]))
-              for v in range(n)]
-    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [rank[c] for c in colors]
-    classes = len(rank)
-    # Equal colors mean equal valence, so the flat signatures order like
-    # (color, sorted neighbor tuple).  A coloring that a round does not
-    # split, a discrete one included, ranks to itself.
-    while classes < n:
-        get = colors.__getitem__
-        sigs = [(c, *sorted(map(get, nb)))
-                for c, nb in zip(colors, neighbors)]
-        rank = dict.fromkeys(sorted(set(sigs)))
-        if len(rank) == classes:
-            break
-        for i, sig in enumerate(rank):
-            rank[sig] = i
-        colors = [rank[sig] for sig in sigs]
-        classes = len(rank)
-    return colors
+    cell_of = [0] * len(neighbors)
+    while True:
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            pieces = {}
+            for v in cell:
+                key = tuple(sorted([cell_of[u] for u in neighbors[v]]))
+                pieces.setdefault(key, []).append(v)
+            refined.extend(pieces[key] for key in sorted(pieces))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
 
 
 def _parity(perm):
@@ -137,88 +138,56 @@ def _label(g):
         neighbors[u].append(v)
         neighbors[v].append(u)
 
-    colors = refine_colors(n, ext, neighbors)
+    # External vertices come first, one cell each in index order, so
+    # every labeling fixes them; the internal ones share the last cell,
+    # which the first refinement splits by valence and more.
+    root = [[v] for v in range(n) if ext[v]]
+    root.append([v for v in range(n) if not ext[v]])
 
-    # Internal slots, in increasing index order, are filled class by
-    # class in color order; external slots are pinned to themselves.
-    internal = [v for v in range(n) if not ext[v]]
-    by_color = {}
-    for v in internal:
-        by_color.setdefault(colors[v], []).append(v)
-    candidates = [(s,) for s in range(n)]
-    slots = iter(internal)
-    for color in sorted(by_color):
-        members = by_color[color]
-        for _ in members:
-            candidates[next(slots)] = members
-    bits = [1 << (n - 1 - s) for s in range(n)]
-
-    assigned = [0] * n      # slot -> old vertex
-    used = [False] * n
-    slotmask = [0] * n      # per old vertex: bits of its assigned neighbors
-    best_rows = [0] * n     # the champion; rows from ``depth`` on undefined
-    depth = 0
+    best = None
     labelings = []
     champion = {}           # relabeled edge -> position, for labelings[0]
 
-    # Only the free candidates with the least row can extend to a
-    # minimizing labeling, so only they are tried, in increasing order:
-    # the minimizers are found in increasing order of their tuples.
-    def descend(s):
-        nonlocal depth
-        if s == n:
-            if labelings:
-                # a tie: the labelings differ by an automorphism, which
-                # moves each edge to the champion's edge of the same pair
-                if not champion:
-                    for i, e in enumerate(
-                            _relabeled_edges(pairs, labelings[0])):
-                        champion[e] = i
-                if _parity([champion[e] for e in
-                            _relabeled_edges(pairs, assigned)]) < 0:
-                    raise _OddAutomorphism
-            labelings.append(tuple(assigned))
-            return
-        free = candidates[s]
-        if len(free) == 1:
-            row = slotmask[free[0]]
-        else:
-            free = [v for v in free if not used[v]]
-            row = min([slotmask[v] for v in free])
-        if s < depth:
-            ref = best_rows[s]
-            if row > ref:
+    def individualize(cells):
+        nonlocal best
+        cells = refine_colors(cells, neighbors)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                for v in cell:
+                    rest = [u for u in cell if u != v]
+                    individualize(cells[:i] + [[v], rest] + cells[i + 1:])
                 return
-            if row < ref:
-                best_rows[s] = row
-                depth = s + 1
-                labelings.clear()
-                champion.clear()
+        # a leaf: the partition is discrete
+        internal = iter([c[0] for c in cells if not ext[c[0]]])
+        labeling = tuple([s if ext[s] else next(internal) for s in range(n)])
+        mapped = _relabeled_edges(pairs, labeling)
+        cert = sorted(mapped)
+        if best is None or cert < best:
+            best = cert
+            labelings.clear()
+            champion.clear()
+        elif cert > best:
+            return
         else:
-            best_rows[s] = row
-            depth = s + 1
-        bit = bits[s]
-        for v in free:
-            if slotmask[v] != row:
-                continue
-            assigned[s] = v
-            used[v] = True
-            for u in neighbors[v]:
-                slotmask[u] |= bit
-            descend(s + 1)
-            for u in neighbors[v]:
-                slotmask[u] ^= bit
-            used[v] = False
+            # a tie: the labelings differ by an automorphism, which
+            # moves each edge to the champion's edge of the same pair
+            if not champion:
+                for i, e in enumerate(_relabeled_edges(pairs, labelings[0])):
+                    champion[e] = i
+            if _parity([champion[e] for e in mapped]) < 0:
+                raise _OddAutomorphism
+        labelings.append(labeling)
 
     try:
-        descend(0)
+        individualize(root)
     except _OddAutomorphism:
         return _ZERO
     finally:
-        # descend refers to itself; deleting it frees the search state
-        # by reference counting, without waiting for the cycle collector
-        del descend
+        # individualize refers to itself; deleting it frees the search
+        # state by reference counting, without the cycle collector
+        del individualize
 
+    labelings.sort()
     mapped = _relabeled_edges(pairs, labelings[0])
     order = sorted(range(len(mapped)), key=mapped.__getitem__)
     return (tuple([mapped[i] for i in order]), _parity(order),

@@ -539,6 +539,39 @@ def test_export_refuses_what_is_no_regular_file(tmp_path, capsys, kind):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("name, stream", [("stdout", "output"),
+                                          ("stderr", "error")])
+def test_export_refuses_its_own_standard_stream(tmp_path, name, stream,
+                                                sink):
+    # Through a pipe, /dev/stdout resolves to no path; through a
+    # redirect, it is the file itself, and renaming a new file over it
+    # would lose what the shell writes to the redirect afterwards.  The
+    # redirected file keeps its text, followed by the error line when
+    # it is the command's stderr.
+    import_root = str(Path(grt2.__file__).resolve().parents[1])
+    redirect = tmp_path / "redirect.txt"
+    redirect.write_text("before\n")
+    with open(redirect, "a") as fh:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        if sink == "file":
+            streams[name] = fh
+        result = subprocess.run(
+            [sys.executable, "-m", "grt2.cli", "export", "--what", "graph",
+             "--graph", "wheel:3", "--out", "/dev/" + name],
+            text=True, cwd=tmp_path, env={"PYTHONPATH": import_root},
+            **streams)
+    assert result.returncode == 2
+    before, _, appended = redirect.read_text().partition("\n")
+    assert before == "before"
+    printed = (result.stdout or "") + (result.stderr or "") + appended
+    assert printed == "error: --out /dev/%s is this command's standard %s\n" \
+        % (name, stream)
+    assert [p.name for p in tmp_path.iterdir()] == ["redirect.txt"]
+
+
 def test_export_failed_rename_leaves_no_partial_file(
         tmp_path, capsys, monkeypatch):
     def refuse(src, dst):

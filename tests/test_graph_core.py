@@ -201,7 +201,7 @@ def test_canonicalize_invariance_randomized():
 
 
 def test_canonicalize_past_64_vertices():
-    # rows are packed into unbounded ints, so there is no vertex limit
+    # nothing in the search limits the number of vertices
     g = theta_graph(1, (40, 20, 10))
     assert g.n == 73
     assert canonicalize(g)[0] is not None

@@ -389,8 +389,10 @@ def test_level_2_bracket_is_a_bowtie_multiple():
 
 
 def test_level_1_bracket_is_zero():
-    for a, b in ((3, 5), (3, 7), (5, 7)):
-        assert level_bracket(wheel_class(a), wheel_class(b), 1).is_zero()
+    for a in range(3, 12, 2):
+        for b in range(a + 2, 12, 2):
+            level1 = level_bracket(wheel_class(a), wheel_class(b), 1)
+            assert level1.is_zero(), (a, b)
 
 
 # The 4-spoke wheel: a rim reflection is an odd automorphism, so its
@@ -446,7 +448,9 @@ def assert_automorphism_group(g, group):
 
 def test_automorphism_group():
     rng = random.Random(5)
-    orders = {3: 24, 5: 10, 7: 14, 9: 18}
+    # the dihedral group of the rim, and S4 for the 3-wheel (K4)
+    orders = {s: 2 * s for s in range(5, 32, 2)}
+    orders[3] = 24
     for spokes, order in orders.items():
         g = wheel(spokes)
         group = automorphisms(g)
@@ -585,9 +589,12 @@ def test_marking_wheels():
     m3 = mark_one_external_raw(wheel(3))
     assert len(m3.terms) == 1
     assert sorted(m3.terms.values()) == [4]
+    # a coefficient's sign follows the edge order of the canonical
+    # representative, so the reference fixes the signs
     m5 = mark_one_external_raw(wheel(5))
+    assert m5 == mark_one_external_reference(wheel(5))
     assert len(m5.terms) == 2
-    assert sorted(m5.terms.values()) == [1, 5]
+    assert sorted(map(abs, m5.terms.values())) == [1, 5]
 
 
 def test_relation_is_boundary_on_graph_side():
