@@ -21,6 +21,7 @@ from . import __version__
 from .liealg import bracket_kernel
 from .linalg import Echelon
 from .theta import (
+    _parse_int,
     closed_form_dim,
     cohomology_dim,
     relation_space,
@@ -387,15 +388,15 @@ def _graph_from_spec(spec):
     kind, _, rest = spec.partition(":")
     try:
         if kind == "wheel":
-            return wheel(_int(rest))
+            return wheel(_parse_int(rest))
         if kind == "theta":
             grade_s, _, counts_s = rest.partition(":")
-            counts = tuple(_int(c) for c in counts_s.split(","))
+            counts = tuple(_parse_int(c) for c in counts_s.split(","))
             if len(counts) != 3:
                 raise ValueError("theta takes three hair counts")
-            return theta_graph(_int(grade_s), counts)
+            return theta_graph(_parse_int(grade_s), counts)
         if kind == "figure-eight":
-            counts = tuple(_int(c) for c in rest.split(","))
+            counts = tuple(_parse_int(c) for c in rest.split(","))
             if len(counts) != 2:
                 raise ValueError("figure-eight takes two loop lengths")
             return figure_eight(*counts)
@@ -539,18 +540,10 @@ def _help():
         + ["\n" + _command_help(name) for name in COMMANDS])
 
 
-def _int(text):
-    """int(text) for an optional minus and ASCII digits, nothing else."""
-    digits = text.removeprefix("-")
-    if digits.isascii() and digits.isdigit():
-        return int(text)
-    raise ValueError("invalid literal for int() with base 10: %r" % text)
-
-
 def _value(option, kind, choices, text):
     if kind is int:
         try:
-            value = _int(text)
+            value = _parse_int(text)
         except ValueError:
             raise UsageError("%s takes an int, got %r" % (option, text)) \
                 from None

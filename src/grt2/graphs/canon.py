@@ -4,19 +4,25 @@ the labeling search finds on the way.
 The search is individualization-refinement (McKay & Piperno,
 "Practical graph isomorphism, II", arXiv:1301.1493).  External vertices
 are singleton cells, so every labeling fixes them; internal vertices
-start in one cell.  At each node the ordered partition is refined until
-it is equitable, and each vertex of its first cell with more than one
-vertex is individualized in turn.  A leaf, a discrete
-partition, fills the internal slots in index order with the internal
-vertices in cell order; its certificate is the sorted list of edges
-under that labeling.  The tree of a relabeled graph is the relabeled
-tree, so the least certificate is the canonical form.  The search keeps
-the labeling of every leaf with the least certificate: two of them
-differ by an automorphism, and every automorphism arises this way.  If
-two of them induce edge permutations of opposite parity the class is
-zero, and the search stops at the first such pair.  No branch is pruned
-with the automorphisms found so far: on the graphs the checks search,
-pruning would save a few milliseconds per command.
+start in one cell.  The search is one loop over a stack of ordered
+partitions.  Each one popped is refined until it is equitable; unless
+it is discrete, one child per vertex of its first cell with more than
+one vertex, that vertex individualized, is pushed so that the first
+vertex is searched first.  A leaf, a discrete partition, fills the
+internal slots in index order with the internal vertices in cell order;
+its certificate is the sorted list of edges under that labeling.  The
+tree of a relabeled graph is the relabeled tree, so the least
+certificate is the canonical form.  The search keeps the labeling of
+every leaf with the least certificate: two of them differ by an
+automorphism, and every automorphism arises this way.  The sign of such
+a leaf is the parity of moving each edge to its position in the least
+certificate, so two of them differ by an automorphism whose parity on
+the edges is the product of their signs; the class is zero, and the
+search stops, at the first leaf whose sign is not the first one's.  No
+branch is pruned with the automorphisms found so far: on the graphs the
+checks search, pruning would save a few milliseconds per command.  The
+search state refers to nothing that refers back to it, so it is freed
+by reference counting when the search returns.
 
 A search result is kept on the graph it describes and dies with it;
 there is no table of past searches.  :func:`canonicalize` gives the
@@ -32,12 +38,6 @@ from __future__ import annotations
 from .core import GraphClass, gc2_check, icg_check
 
 _ZERO = (None, 0, None)
-
-
-class _OddAutomorphism(Exception):
-    """Two minimizing labelings induce edge permutations of opposite
-    parity, so some automorphism is odd and the class is zero.
-    """
 
 
 def refine_colors(cells, neighbors):
@@ -145,53 +145,37 @@ def _label(g):
     root.append([v for v in range(n) if not ext[v]])
 
     best = None
-    labelings = []
-    champion = {}           # relabeled edge -> position, for labelings[0]
-
-    def individualize(cells):
-        nonlocal best
-        cells = refine_colors(cells, neighbors)
+    stack = [root]
+    while stack:
+        cells = refine_colors(stack.pop(), neighbors)
         for i, cell in enumerate(cells):
             if len(cell) > 1:
-                for v in cell:
+                # reversed, so the first vertex is searched first
+                for v in reversed(cell):
                     rest = [u for u in cell if u != v]
-                    individualize(cells[:i] + [[v], rest] + cells[i + 1:])
-                return
-        # a leaf: the partition is discrete
-        internal = iter([c[0] for c in cells if not ext[c[0]]])
-        labeling = tuple([s if ext[s] else next(internal) for s in range(n)])
-        mapped = _relabeled_edges(pairs, labeling)
-        cert = sorted(mapped)
-        if best is None or cert < best:
-            best = cert
-            labelings.clear()
-            champion.clear()
-        elif cert > best:
-            return
+                    stack.append(cells[:i] + [[v], rest] + cells[i + 1:])
+                break
         else:
-            # a tie: the labelings differ by an automorphism, which
-            # moves each edge to the champion's edge of the same pair
-            if not champion:
-                for i, e in enumerate(_relabeled_edges(pairs, labelings[0])):
-                    champion[e] = i
-            if _parity([champion[e] for e in mapped]) < 0:
-                raise _OddAutomorphism
-        labelings.append(labeling)
-
-    try:
-        individualize(root)
-    except _OddAutomorphism:
-        return _ZERO
-    finally:
-        # individualize refers to itself; deleting it frees the search
-        # state by reference counting, without the cycle collector
-        del individualize
+            # a leaf: the partition is discrete
+            internal = iter([c[0] for c in cells if not ext[c[0]]])
+            labeling = tuple([s if ext[s] else next(internal)
+                              for s in range(n)])
+            mapped = _relabeled_edges(pairs, labeling)
+            cert = sorted(mapped)
+            if best is None or cert < best:
+                best, labelings = cert, []
+                position = {e: i for i, e in enumerate(cert)}
+            elif cert > best:
+                continue
+            parity = _parity([position[e] for e in mapped])
+            if not labelings:
+                sign = parity
+            elif parity != sign:
+                return _ZERO
+            labelings.append(labeling)
 
     labelings.sort()
-    mapped = _relabeled_edges(pairs, labelings[0])
-    order = sorted(range(len(mapped)), key=mapped.__getitem__)
-    return (tuple([mapped[i] for i in order]), _parity(order),
-            tuple(labelings))
+    return tuple(best), sign, tuple(labelings)
 
 
 def canonicalize(g, check=True):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..poly import _SparsePoly
-from ..theta import _check_int
+from ..theta import _check_int, _parse_int
 
 
 class Graph:
@@ -231,7 +231,7 @@ def graph_to_text(g):
 
 def _text_ints(tokens, line):
     try:
-        return [int(t) for t in tokens]
+        return [_parse_int(t) for t in tokens]
     except ValueError:
         raise ValueError("expected integers in line %r" % line) from None
 

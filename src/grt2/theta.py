@@ -89,6 +89,14 @@ def _check_int(name, value):
         raise ValueError("%s must be an int, got %r" % (name, value))
 
 
+def _parse_int(text):
+    """int(text) for an optional minus and ASCII digits, nothing else."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    raise ValueError("invalid literal for int() with base 10: %r" % text)
+
+
 def _check_grade(name, value):
     """Raise a ValueError naming the argument unless value is 0, 1 or 2."""
     if type(value) is not int or value not in (0, 1, 2):

@@ -187,6 +187,15 @@ def test_double_edge_class_is_zero():
     assert canonicalize(g, check=False) == (None, 0)
 
 
+# The Frucht graph: cubic, on 12 vertices, with no automorphism but the
+# identity.  Refinement cannot split its one root cell, so the search
+# must try every vertex of it to find the canonical form.
+FRUCHT = Graph(12, (False,) * 12,
+               ((0, 1), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 8),
+                (3, 4), (3, 9), (4, 5), (4, 9), (5, 6), (5, 10), (6, 10),
+                (7, 11), (8, 9), (8, 11), (10, 11)))
+
+
 def test_canonicalize_invariance_randomized():
     rng = random.Random(51)
     graphs = [
@@ -196,6 +205,7 @@ def test_canonicalize_invariance_randomized():
         theta_graph(1, (2, 4, 0)),
         theta_graph(2, (3, 2, 1)),
         figure_eight(2, 4),
+        FRUCHT,
     ]
     check_canonicalize_invariance(rng, graphs)
 
@@ -346,6 +356,17 @@ def test_graphtext_rejects_non_integer_fields():
     assert_rejects_line(GOOD_BODY.replace("e 1 1 2", "e 1 x 2"), "e 1 x 2")
     assert_rejects_line(GOOD_BODY.replace("V 3 E 2", "V 3 E two"),
                         "V 3 E two")
+
+
+@pytest.mark.parametrize("good, line", [
+    ("V 3 E 2", "V \u0663 E 2"), ("V 3 E 2", "V 3 E +2"),
+    ("e 1 1 2", "e 0_1 1 2"), ("e 1 1 2", "e 1 1 \uff12"),
+])
+def test_graphtext_takes_ascii_digits_only(good, line):
+    # an Arabic-Indic three, a plus sign, a digit separator and a
+    # fullwidth two all pass int(), and none is a numeral of the format
+    assert_rejects_line(GOOD_BODY.replace(good, line), line,
+                        "expected integers in line")
 
 
 @pytest.mark.parametrize("line, text, problem", [

@@ -39,7 +39,7 @@ from grt2.graphs.ops import (
 from grt2.poly import Poly3
 from grt2.perms import sign_coinvariant_normal_form
 from grt2.theta import weight_slice_basis
-from helpers import failed_cases, in_span
+from helpers import _permutation_parity, failed_cases, in_span
 
 
 def test_internal_loop_count():
@@ -471,6 +471,54 @@ def test_automorphism_group():
             assert_automorphism_group(relabeled, other)
     assert automorphisms(WHEEL4) is None
     assert automorphisms(theta_graph(1, (2, 2, 1))) is None
+
+
+def brute_force_automorphisms(g):
+    """Every permutation of the internal vertices of g that preserves
+    its edge set, each a tuple mapping a vertex to its image, found by
+    trying them all; and whether one of them permutes the edges oddly.
+    """
+    internal = g.internal_vertices()
+    position = {e: i for i, e in enumerate(g.edges)}
+    group, odd = set(), False
+    for images in permutations(internal):
+        sigma = list(range(g.n))
+        for v, w in zip(internal, images):
+            sigma[v] = w
+        moved = [position.get(tuple(sorted((sigma[u], sigma[v]))))
+                 for u, v in g.edges]
+        if None not in moved:
+            group.add(tuple(sigma))
+            odd = odd or _permutation_parity(moved) < 0
+    return group, odd
+
+
+# K_{3,3} and the triangular prism: cubic, vertex-transitive, and with
+# 72 and 12 automorphisms.
+K33 = Graph(6, (False,) * 6, tuple((u, v) for u in range(3)
+                                    for v in range(3, 6)))
+PRISM = Graph(6, (False,) * 6,
+              ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3),
+               (1, 4), (2, 5)))
+
+
+def test_automorphisms_match_brute_force():
+    graphs = [wheel(3), wheel(5), WHEEL4, K33, PRISM, figure_eight(2, 2),
+              figure_eight(2, 4), figure_eight(3, 3)]
+    thetas = [theta_graph(grade, counts) for grade in (0, 1, 2)
+              for counts in theta_shapes(grade, 7)]
+    graphs += [g for g in thetas if len(g.internal_vertices()) <= 7]
+    assert theta_graph(1, (2, 2, 1)) in graphs
+    zeros = 0
+    for g in graphs:
+        group, odd = brute_force_automorphisms(g)
+        found = automorphisms(g)
+        if odd:
+            zeros += 1
+            assert found is None, g
+        else:
+            assert found is not None and set(found) == group, g
+    assert 0 < zeros < len(graphs)
 
 
 def test_insertion_counts():
